@@ -242,17 +242,10 @@ def run_bias(cfg: ExperimentConfig) -> int:
     _write_measure(out / "bias_measure.json", mus[0], cfg)
     primary = mus[0]
     if cfg.replicas > 1:
-        pooled = measures.EmpiricalMeasure.from_values(
-            np.concatenate([m.values for m in mus]),
-            np.concatenate([m.weights / cfg.replicas for m in mus]),
-            meta={"k": k, "kind": cfg.kind, "replicas": cfg.replicas,
-                  "annealed": True})
-        rep_means = [m.mean() for m in mus]
-        pooled.meta["mean_bias"] = float(np.mean(rep_means))
-        pooled.meta["sem_mean_bias"] = float(
-            np.std(rep_means, ddof=1) / np.sqrt(cfg.replicas))
-        _write_measure(out / "bias_measure_annealed.json", pooled, cfg)
-        primary = pooled
+        primary = kernels.AnnealedResult.pool(
+            mus, {"k": k, "kind": cfg.kind, "replicas": cfg.replicas,
+                  "annealed": True}).measure
+        _write_measure(out / "bias_measure_annealed.json", primary, cfg)
     _write_histogram(out / "bias_histogram.csv", primary, cfg)
     # distance of the quenched measure to its stationary limit, in the
     # configured metric (levy by default), when the limit is defined
@@ -355,6 +348,12 @@ def run_limit_mu_star(cfg: ExperimentConfig) -> int:
 def run_sweep(cfg: ExperimentConfig) -> int:
     if not cfg.n_grid:
         raise ConfigError("sweep needs n_grid")
+    # psi_window is the worst Levy distance over grid points and levels both
+    # >= window_N: a proxy for that finite window only, so an empty window
+    # is a config error rather than a psi of 0
+    if max(cfg.n_grid) < cfg.window_N or cfg.k_max < max(cfg.window_N, 1):
+        raise ConfigError(
+            f"empty window: no grid points with n,k >= {cfg.window_N}")
     spec = _genspec(cfg)
     lines = [_header(cfg).rstrip("\n"), "n,k,kind,levy,ks,w1"]
     worst = 0.0
@@ -402,7 +401,7 @@ def run_joint(cfg: ExperimentConfig) -> int:
     out = Path(cfg.out)
     lines = [_header(cfg).rstrip("\n"), "n,k_n,levy,w1,mean_gap"]
     for idx, n in enumerate(cfg.n_grid):
-        vals, weights, means = [], [], []
+        mus = []
         k_n = None
         for r in range(cfg.replicas):
             seed = generators.mix_seed(generators.mix_seed(cfg.seed, idx), r)
@@ -412,18 +411,14 @@ def run_joint(cfg: ExperimentConfig) -> int:
             _check_kind(cfg, g)
             if k_n is None:
                 k_n = schedule_k(cfg, n, idx, graph=g)
-            mu = kernels.bias_all(g, k_n, cfg.kind, delta=cfg.delta)
-            vals.append(mu.values)
-            weights.append(mu.weights / cfg.replicas)
-            means.append(mu.mean())
-        pooled = measures.EmpiricalMeasure.from_values(
-            np.concatenate(vals), np.concatenate(weights),
-            meta={"n": n, "k": k_n, "kind": cfg.kind,
-                  "replicas": cfg.replicas})
+            mus.append(kernels.bias_all(g, k_n, cfg.kind, delta=cfg.delta))
+        pooled = measures.EmpiricalMeasure.mixture(
+            mus, meta={"n": n, "k": k_n, "kind": cfg.kind,
+                       "replicas": cfg.replicas})
         _write_measure(out / f"joint_measure_n{n}.json", pooled, cfg)
+        mean_gap = abs(float(np.mean([m.mean() for m in mus])) - limit.mean())
         lines.append(f"{n},{k_n},{measures.levy_distance(pooled, limit)!r},"
-                     f"{measures.w1_distance(pooled, limit)!r},"
-                     f"{abs(float(np.mean(means)) - limit.mean())!r}")
+                     f"{measures.w1_distance(pooled, limit)!r},{mean_gap!r}")
     _write(out / "joint.csv", "\n".join(lines) + "\n")
     return 0
 

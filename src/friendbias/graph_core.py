@@ -67,12 +67,6 @@ class Graph:
         return e ^ 1
 
     @property
-    def directed_edges(self) -> list[tuple[int, int, int]]:
-        """Half-edge records as (head, tail, twin_index) tuples."""
-        return [(int(self.heads[e]), int(self.tails[e]), e ^ 1)
-                for e in range(self.num_half_edges)]
-
-    @property
     def adjacency(self) -> list[list[tuple[int, int]]]:
         """Per-vertex sorted (neighbor, multiplicity) lists.
 

@@ -26,8 +26,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import generators, measures
-from .graph_core import (ExplorationPreconditionError, Graph,
-                         validate_for_exploration)
+from .graph_core import (EXPLORATION_KINDS, ExplorationPreconditionError,
+                         Graph, validate_for_exploration)
 
 WEIGHT_TOL = 1e-12
 
@@ -69,153 +69,130 @@ class DistVector:
         return cls(kind, w / w.sum())
 
 
-def _require(g: Graph, kind: str) -> None:
-    report = validate_for_exploration(g, "bt" if kind == "lazy" else kind)
-    if not report.ok:
-        raise KernelError(
-            f"graph not valid for {kind!r} exploration: {report.message}")
+class WalkOperator:
+    """One step of an exploration as a linear map on its states.
 
+    The states are the n vertices for ``bt`` and ``lazy`` and the 2m
+    directed half-edges for ``nb``. `push` moves a law one step (w -> wP)
+    and `expect` moves an observable one step (y -> Py). `lift(i)` is the
+    state law of a walk started at vertex i; for ``nb`` it already holds the
+    first step, spread over the half-edges leaving i (`lift_steps` = 1).
+    `to_vertices` maps a state law to its vertex law; `observe` and
+    `lifted_mean` are the duals of `to_vertices` and `lift` on observables.
 
-def _segment_sums(g: Graph, per_edge: np.ndarray) -> np.ndarray:
-    """Sum per-half-edge values over the out-edges of each vertex.
-
-    Requires minimum degree >= 1 (reduceat misreads empty segments); all
-    kernel preconditions guarantee this.
+    `push` and `to_vertices` act on the last axis, so a 2-D array is a
+    batch of laws, one per row, and each row comes out bit-identical to a
+    1-D call. Vertex sums run over the head-grouped CSR and observable
+    means over the tail-grouped CSR, except nb `expect`, whose bincount
+    order the nb biases depend on. Nothing is renormalised.
     """
-    return np.add.reduceat(per_edge[g.out_edges], g.out_start[:-1])
 
+    def __init__(self, g: Graph, kind: str, delta: float = 0.5):
+        if kind not in EXPLORATION_KINDS:
+            raise ValueError(f"unknown exploration kind {kind!r}")
+        if kind == "lazy" and not (0.0 < delta < 1.0):
+            raise ValueError(f"laziness must lie in (0, 1), got {delta}")
+        report = validate_for_exploration(g, "bt" if kind == "lazy" else kind)
+        if not report.ok:
+            raise KernelError(
+                f"graph not valid for {kind!r} exploration: {report.message}")
+        self.g, self.kind, self.delta = g, kind, delta
+        if kind == "nb":
+            self.states, self.support, self.lift_steps = g.num_half_edges, "edges", 1
+            self._fanout = g.degrees_float[g.heads] - 1.0   # choices leaving head(e)
+            self._twin = np.arange(g.num_half_edges, dtype=np.int64) ^ 1
+        else:
+            self.states, self.support, self.lift_steps = g.n, "vertices", 0
+            self._out_heads = g.heads[g.out_edges]
 
-class EdgeChain:
-    """Transition rule on directed half-edges: from e, uniform over the
-    half-edges leaving head(e) except twin(e). Rows sum to 1, and columns
-    sum to 1 too (the chain is doubly stochastic) whenever every degree
-    is >= 2, so uniform-on-half-edges is stationary."""
+    def _sum_in(self, per_edge: np.ndarray) -> np.ndarray:
+        """Per-vertex sums of values listed in head-grouped (in-CSR) order."""
+        return np.add.reduceat(per_edge, self.g.in_start[:-1], axis=-1)
 
-    def __init__(self, g: Graph):
-        _require(g, "nb")
-        self.g = g
-        self._fanout = g.degrees_float[g.heads] - 1.0   # choices leaving head(e)
-        self._twin = np.arange(g.num_half_edges, dtype=np.int64) ^ 1
+    def _mean_out(self, per_edge: np.ndarray) -> np.ndarray:
+        """Per-vertex means of values listed in tail-grouped (out-CSR) order."""
+        g = self.g
+        return np.add.reduceat(per_edge, g.out_start[:-1]) / g.degrees_float
+
+    def _lazy(self, w: np.ndarray, stepped: np.ndarray) -> np.ndarray:
+        if self.kind == "lazy":
+            return self.delta * w + (1.0 - self.delta) * stepped
+        return stepped
 
     def lift(self, start: int) -> np.ndarray:
-        """Uniform distribution over the half-edges leaving `start`."""
         g = self.g
-        w = np.zeros(g.num_half_edges)
-        w[g.out_slice(start)] = 1.0 / g.degrees_float[start]
+        if not (0 <= start < g.n):
+            raise KernelError(f"start vertex {start} out of range")
+        w = np.zeros(self.states)
+        if self.kind == "nb":
+            w[g.out_slice(start)] = 1.0 / g.degrees_float[start]
+        else:
+            w[start] = 1.0
         return w
 
     def push(self, w: np.ndarray) -> np.ndarray:
-        """One step of the distribution: w'[f] = sum_e w[e] P(e, f)."""
         g = self.g
-        z = w / self._fanout
-        s = np.bincount(g.heads, weights=z, minlength=g.n)
-        return s[g.tails] - z[self._twin]
+        if self.kind == "nb":
+            z = w / self._fanout
+            s = self._sum_in(z[..., g.in_edges])
+            return s[..., g.tails] - z[..., self._twin]
+        z = w / g.degrees_float
+        return self._lazy(w, self._sum_in(z[..., g.tails[g.in_edges]]))
 
-    def push_expectation(self, y: np.ndarray) -> np.ndarray:
-        """One step of a per-edge observable: y'[e] = E[y(next edge) | e]."""
+    def expect(self, y: np.ndarray) -> np.ndarray:
         g = self.g
-        t = np.bincount(g.tails, weights=y, minlength=g.n)
-        return (t[g.heads] - y[self._twin]) / self._fanout
+        if self.kind == "nb":
+            t = np.bincount(g.tails, weights=y, minlength=g.n)
+            return (t[g.heads] - y[self._twin]) / self._fanout
+        return self._lazy(y, self._mean_out(y[self._out_heads]))
 
-    def project_vertices(self, w: np.ndarray) -> np.ndarray:
-        """Push edge mass to head vertices."""
-        return np.bincount(self.g.heads, weights=w, minlength=self.g.n)
+    def to_vertices(self, w: np.ndarray) -> np.ndarray:
+        if self.kind == "nb":
+            return self._sum_in(w[..., self.g.in_edges])
+        return w
 
+    def observe(self, f: np.ndarray) -> np.ndarray:
+        """The state observable f(vertex the state stands on)."""
+        return f[self.g.heads] if self.kind == "nb" else f
 
-def bt_push(g: Graph, d: DistVector) -> DistVector:
-    """One simple-random-walk step of a vertex distribution.
-
-    Mass at vertex i spreads as multiplicity/degree over the neighbours of
-    i. Errors if the support touches an isolated vertex or the graph has
-    self-loops.
-    """
-    if d.kind != "vertices" or d.weights.size != g.n:
-        raise KernelError("distribution is not over the vertices of this graph")
-    if g.has_self_loops():
-        raise KernelError("graph not valid for 'bt' exploration: self-loops present")
-    w = d.weights
-    if np.any(w[g.degrees == 0] > 0):
-        raise KernelError("support includes an isolated vertex")
-    z = np.divide(w, g.degrees_float, out=np.zeros_like(w),
-                  where=g.degrees > 0)
-    nxt = np.bincount(g.heads, weights=z[g.tails], minlength=g.n)
-    return DistVector("vertices", nxt)
-
-
-def lazy_push(g: Graph, d: DistVector, delta: float) -> DistVector:
-    """Lazy step: stay with probability delta, else take a `bt` step."""
-    if not (0.0 < delta < 1.0):
-        raise ValueError(f"laziness must lie in (0, 1), got {delta}")
-    stepped = bt_push(g, d)
-    return DistVector("vertices", delta * d.weights + (1.0 - delta) * stepped.weights)
-
-
-def nb_k_step(g: Graph, start: int, k: int) -> DistVector:
-    """Vertex distribution of the non-backtracking walk after k steps.
-
-    k = 0 is the point mass at `start`; for k >= 1 the point mass is lifted
-    uniformly onto the half-edges leaving `start`, the edge chain is applied
-    k - 1 times, and the result is projected to head vertices.
-    """
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    if not (0 <= start < g.n):
-        raise KernelError(f"start vertex {start} out of range")
-    if k == 0:
-        return DistVector.point_mass("vertices", g.n, start)
-    chain = EdgeChain(g)
-    w = chain.lift(start)
-    for _ in range(k - 1):
-        w = chain.push(w)
-    return DistVector("vertices", chain.project_vertices(w))
+    def lifted_mean(self, y: np.ndarray) -> np.ndarray:
+        """Per start vertex i, the mean of a state observable under lift(i)."""
+        return self._mean_out(y[self.g.out_edges]) if self.kind == "nb" else y
 
 
 def _k_step_dist(g: Graph, start: int, k: int, kind: str,
                  delta: float) -> DistVector:
-    if kind == "nb":
-        return nb_k_step(g, start, k)
-    d = DistVector.point_mass("vertices", g.n, start)
-    for _ in range(k):
-        d = bt_push(g, d) if kind == "bt" else lazy_push(g, d, delta)
-    return d
+    """Vertex law after k steps from `start`; k = 0 is the point mass."""
+    if k < 0:
+        raise ValueError("k must be >= 0")
+    op = WalkOperator(g, kind, delta)
+    w = op.lift(start)
+    if k == 0:
+        return DistVector.point_mass("vertices", g.n, start)
+    for _ in range(k - op.lift_steps):
+        w = DistVector(op.support, op.push(w)).weights
+    return DistVector("vertices", op.to_vertices(w))
 
 
 def bias_k(g: Graph, i: int, k: int, kind: str, delta: float = 0.5) -> float:
     """k-level friendship bias of one vertex: E[deg after k steps] - deg(i)."""
-    if kind not in ("bt", "nb", "lazy"):
-        raise ValueError(f"unknown exploration kind {kind!r}")
-    _require(g, kind)
     dist = _k_step_dist(g, i, k, kind, delta)
     return float(np.dot(dist.weights, g.degrees_float) - g.degrees_float[i])
 
 
-def _bt_expect(g: Graph, v: np.ndarray, degf: np.ndarray) -> np.ndarray:
-    """(P v)_i for the simple walk: mean of v over the out-neighbours of i."""
-    return _segment_sums(g, v[g.heads]) / degf
+def _levels(op: WalkOperator, k_max: int):
+    """Yield (k, y) for k = 1..k_max in O(k_max |E|), where
+    op.lifted_mean(y) is the expected degree after k steps from each vertex.
 
-
-def _bias_vector(g: Graph, k: int, kind: str, delta: float) -> np.ndarray:
-    """All n biases at level k, via expectation vectors in O(k |E|).
-
-    For bt/lazy this iterates the observable d under the vertex chain; for
-    nb it iterates deg(head) under the edge chain and averages over the
-    half-edges leaving each start vertex. At k = 1 the bt and nb paths
-    perform bit-identical float operations, so the two biases agree exactly.
+    bt/lazy iterate the observable deg under the vertex chain; nb iterates
+    deg(head) under the edge chain. At k = 1 the bt and nb biases come out
+    of bit-identical float operations, so they agree exactly.
     """
-    degf = g.degrees_float
-    if k == 0:
-        return np.zeros(g.n)
-    if kind == "nb":
-        chain = EdgeChain(g)
-        y = degf[g.heads]
-        for _ in range(k - 1):
-            y = chain.push_expectation(y)
-        return _segment_sums(g, y) / degf - degf
-    v = degf
-    for _ in range(k):
-        stepped = _bt_expect(g, v, degf)
-        v = stepped if kind == "bt" else delta * v + (1.0 - delta) * stepped
-    return v - degf
+    y = op.observe(op.g.degrees_float)
+    for k in range(1, k_max + 1):
+        if k > op.lift_steps:
+            y = op.expect(y)
+        yield k, y
 
 
 def bias_all(g: Graph, k: int, kind: str, delta: float = 0.5,
@@ -225,10 +202,11 @@ def bias_all(g: Graph, k: int, kind: str, delta: float = 0.5,
     The returned measure places mass 1/n on each vertex's bias; its mean is
     the average k-level bias and is stored in meta["mean_bias"].
     """
-    if kind not in ("bt", "nb", "lazy"):
-        raise ValueError(f"unknown exploration kind {kind!r}")
-    _require(g, kind)
-    deltas = _bias_vector(g, k, kind, delta)
+    op = WalkOperator(g, kind, delta)
+    deltas = np.zeros(g.n)
+    for level, y in _levels(op, k):
+        if level == k:
+            deltas = op.lifted_mean(y) - g.degrees_float
     info = {"n": g.n, "k": k, "kind": kind}
     if kind == "lazy":
         info["delta"] = delta
@@ -240,23 +218,9 @@ def bias_all(g: Graph, k: int, kind: str, delta: float = 0.5,
 
 def bias_profile(g: Graph, k_max: int, kind: str, delta: float = 0.5):
     """Yield (k, bias vector) for k = 1..k_max in one sweep (O(k_max |E|))."""
-    if kind not in ("bt", "nb", "lazy"):
-        raise ValueError(f"unknown exploration kind {kind!r}")
-    _require(g, kind)
-    degf = g.degrees_float
-    if kind == "nb":
-        chain = EdgeChain(g)
-        y = degf[g.heads]
-        for k in range(1, k_max + 1):
-            yield k, _segment_sums(g, y) / degf - degf
-            if k < k_max:
-                y = chain.push_expectation(y)
-        return
-    v = degf
-    for k in range(1, k_max + 1):
-        stepped = _bt_expect(g, v, degf)
-        v = stepped if kind == "bt" else delta * v + (1.0 - delta) * stepped
-        yield k, v - degf
+    op = WalkOperator(g, kind, delta)
+    for k, y in _levels(op, k_max):
+        yield k, op.lifted_mean(y) - g.degrees_float
 
 
 @dataclass
@@ -265,6 +229,16 @@ class AnnealedResult:
 
     measure: measures.EmpiricalMeasure
     replica_means: list[float] = field(default_factory=list)
+
+    @classmethod
+    def pool(cls, parts: list, meta: dict) -> "AnnealedResult":
+        """Pool per-replica measures into their uniform mixture, recording
+        the replica mean and its standard error in the pooled meta."""
+        pooled = measures.EmpiricalMeasure.mixture(parts, meta=meta)
+        result = cls(measure=pooled, replica_means=[m.mean() for m in parts])
+        pooled.meta["mean_bias"] = result.mean_bias
+        pooled.meta["sem_mean_bias"] = result.sem_mean_bias
+        return result
 
     @property
     def replicas(self) -> int:
@@ -293,22 +267,13 @@ def annealed_bias(spec: generators.GenSpec, k: int, kind: str,
     """
     if replicas < 1:
         raise ValueError("replicas must be >= 1")
-    values, weights, rep_means = [], [], []
+    parts = []
     for r in range(replicas):
         try:
             g = generators.realize(spec, seed_override=generators.mix_seed(spec.seed, r),
                                    erase=erase, restrict_giant=restrict_giant)
-            mu = bias_all(g, k, kind, delta=delta)
+            parts.append(bias_all(g, k, kind, delta=delta))
         except Exception as exc:
             raise type(exc)(f"replica {r}: {exc}") from exc
-        values.append(mu.values)
-        weights.append(mu.weights / replicas)
-        rep_means.append(mu.mean())
-    meta = {"k": k, "kind": kind, "replicas": replicas,
-            "master_seed": spec.seed, "annealed": True}
-    pooled = measures.EmpiricalMeasure.from_values(
-        np.concatenate(values), np.concatenate(weights), meta=meta)
-    result = AnnealedResult(measure=pooled, replica_means=rep_means)
-    pooled.meta["mean_bias"] = result.mean_bias
-    pooled.meta["sem_mean_bias"] = result.sem_mean_bias
-    return result
+    return AnnealedResult.pool(parts, {"k": k, "kind": kind, "replicas": replicas,
+                                       "master_seed": spec.seed, "annealed": True})

@@ -67,6 +67,15 @@ class EmpiricalMeasure:
             w = np.add.reduceat(w, starts)
         return cls(values=v, weights=w, meta=dict(meta or {}))
 
+    @classmethod
+    def mixture(cls, parts, meta=None) -> "EmpiricalMeasure":
+        """Uniform mixture of measures: each part keeps 1/len(parts) of the
+        mass."""
+        weights = np.concatenate([m.weights for m in parts])
+        weights /= len(parts)
+        return cls.from_values(np.concatenate([m.values for m in parts]),
+                               weights, meta=meta)
+
     def mean(self) -> float:
         return float(np.dot(self.weights, self.values))
 
@@ -127,14 +136,6 @@ class EmpiricalMeasure:
                 for i in range(len(edges) - 1)]
 
 
-def mean(m: EmpiricalMeasure) -> float:
-    return m.mean()
-
-
-def moment(m: EmpiricalMeasure, r: int) -> float:
-    return m.moment(r)
-
-
 def _check_pair(a: EmpiricalMeasure, b: EmpiricalMeasure) -> None:
     for m in (a, b):
         if abs(float(m.weights.sum()) - 1.0) > WEIGHT_TOL:
@@ -190,33 +191,3 @@ def w1_distance(a: EmpiricalMeasure, b: EmpiricalMeasure) -> float:
 
 DISTANCES = {"levy": levy_distance, "ks": ks_distance, "w1": w1_distance}
 
-
-def psi_window(spec, kinds, N: int, K_max: int, n_grid,
-               delta: float = 0.5, erase: bool = False,
-               restrict_giant: bool = False) -> float:
-    """Finite-window uniformity proxy: the max, over grid points with
-    n >= N and levels k >= N, of the Levy distance between the k-level bias
-    distribution and the stationary one.
-
-    This is a proxy over the supplied finite window only, never an estimate
-    of a supremum over all (n, k). Raises on an empty window.
-    """
-    from . import generators, kernels, stationary  # deferred to avoid cycle
-
-    ns = [n for n in n_grid if n >= N]
-    ks = [k for k in range(1, K_max + 1) if k >= N]
-    if not ns or not ks:
-        raise ValueError(f"empty window: no grid points with n,k >= {N}")
-    worst = 0.0
-    for idx, n in enumerate(ns):
-        g = generators.realize(spec, n_override=n,
-                               seed_override=generators.mix_seed(spec.seed, idx),
-                               erase=erase, restrict_giant=restrict_giant)
-        limit = stationary.stationary_bias(g)
-        for kind in kinds:
-            for k, deltas in kernels.bias_profile(g, max(ks), kind, delta=delta):
-                if k < N:
-                    continue
-                mu_k = EmpiricalMeasure.from_values(deltas)
-                worst = max(worst, levy_distance(mu_k, limit))
-    return worst

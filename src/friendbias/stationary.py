@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graph_core import Graph, analyze_components
-from .kernels import DistVector, EdgeChain, KernelError, _require, bt_push, lazy_push
+from .kernels import DistVector, KernelError, WalkOperator
 from .measures import EmpiricalMeasure
 
 DEFAULT_EPS = (0.25, 0.01, 1e-4)
@@ -86,15 +86,18 @@ def tv_distance(a: DistVector, b: DistVector) -> float:
     return 0.5 * float(np.abs(a.weights - b.weights).sum())
 
 
+def _pi_states(op: WalkOperator) -> DistVector:
+    """Stationary law on the operator's states."""
+    if op.kind == "nb":
+        return DistVector.uniform("edges", op.states)
+    return pi_vertex(op.g)
+
+
 def stationarity_residual(g: Graph, kind: str, delta: float = 0.5) -> float:
     """TV distance between the stationary law and its one-step push."""
-    if kind == "nb":
-        chain = EdgeChain(g)
-        u = np.full(g.num_half_edges, 1.0 / g.num_half_edges)
-        return 0.5 * float(np.abs(chain.push(u) - u).sum())
-    pi = pi_vertex(g)
-    pushed = bt_push(g, pi) if kind == "bt" else lazy_push(g, pi, delta)
-    return tv_distance(pushed, pi)
+    op = WalkOperator(g, kind, delta)
+    pi = _pi_states(op)
+    return tv_distance(DistVector(op.support, op.push(pi.weights)), pi)
 
 
 @dataclass
@@ -139,20 +142,8 @@ def _pick_starts(n_states: int, starts_cap) -> np.ndarray:
                                           int(starts_cap))).astype(np.int64))
 
 
-def _batch_bt_push(g: Graph, W: np.ndarray, degf: np.ndarray) -> np.ndarray:
-    Z = W / degf[None, :]
-    return np.add.reduceat(Z[:, g.tails[g.in_edges]], g.in_start[:-1], axis=1)
-
-
-def _batch_edge_push(g: Graph, W: np.ndarray, fanout: np.ndarray,
-                     twin: np.ndarray) -> np.ndarray:
-    Z = W / fanout[None, :]
-    S = np.add.reduceat(Z[:, g.in_edges], g.in_start[:-1], axis=1)
-    return S[:, g.tails] - Z[:, twin]
-
-
-def _batch_project(g: Graph, W: np.ndarray) -> np.ndarray:
-    return np.add.reduceat(W[:, g.in_edges], g.in_start[:-1], axis=1)
+def _worst_tv(W: np.ndarray, pi: np.ndarray) -> float:
+    return 0.5 * float(np.abs(W - pi).sum(axis=1).max())
 
 
 def mixing_profile(g: Graph, kind: str, k_max: int,
@@ -167,52 +158,30 @@ def mixing_profile(g: Graph, kind: str, k_max: int,
     uniform, and additionally projected to vertices against the
     degree-proportional law.
     """
-    if kind not in ("bt", "nb", "lazy"):
-        raise ValueError(f"unknown exploration kind {kind!r}")
-    _require(g, kind)
+    op = WalkOperator(g, kind, delta)
     eps_list = tuple(eps_list)
-    degf = g.degrees_float
-    ks: list[int] = []
-    Ds: list[float] = []
-    D_vertex: list[float] | None = None
-
+    pi = _pi_states(op).weights
+    starts = _pick_starts(op.states, starts_cap)
+    W = np.zeros((starts.size, op.states))
+    W[np.arange(starts.size), starts] = 1.0
+    V = D_vertex = None
     if kind == "nb":
-        n_states = g.num_half_edges
-        chain = EdgeChain(g)
-        starts = _pick_starts(n_states, starts_cap)
-        W = np.zeros((starts.size, n_states))
-        W[np.arange(starts.size), starts] = 1.0
-        uniform = 1.0 / n_states
+        # the k-step vertex law projects the lift after k-1 edge pushes
         v_starts = _pick_starts(g.n, starts_cap)
-        V = np.zeros((v_starts.size, n_states))
+        V = np.zeros((v_starts.size, op.states))
         for row, s in enumerate(v_starts):
-            V[row] = chain.lift(int(s))
-        pi = degf / degf.sum()
+            V[row] = op.lift(int(s))
+        pi_v = pi_vertex(g).weights
         D_vertex = []
-        for k in range(1, k_max + 1):
-            W = _batch_edge_push(g, W, chain._fanout, chain._twin)
-            Ds.append(0.5 * float(np.abs(W - uniform).sum(axis=1).max()))
-            # k-step vertex law projects the lift after k-1 edge pushes
-            D_vertex.append(0.5 * float(
-                np.abs(_batch_project(g, V) - pi).sum(axis=1).max()))
+    ks = list(range(1, k_max + 1))
+    Ds: list[float] = []
+    for k in ks:
+        W = op.push(W)
+        Ds.append(_worst_tv(W, pi))
+        if V is not None:
+            D_vertex.append(_worst_tv(op.to_vertices(V), pi_v))
             if k < k_max:
-                V = _batch_edge_push(g, V, chain._fanout, chain._twin)
-            ks.append(k)
-        starts_used = int(starts.size)
-        n_states_out = n_states
-    else:
-        n_states = g.n
-        starts = _pick_starts(n_states, starts_cap)
-        W = np.zeros((starts.size, n_states))
-        W[np.arange(starts.size), starts] = 1.0
-        pi = degf / degf.sum()
-        for k in range(1, k_max + 1):
-            stepped = _batch_bt_push(g, W, degf)
-            W = stepped if kind == "bt" else delta * W + (1.0 - delta) * stepped
-            Ds.append(0.5 * float(np.abs(W - pi).sum(axis=1).max()))
-            ks.append(k)
-        starts_used = int(starts.size)
-        n_states_out = n_states
+                V = op.push(V)
 
     crossings = {}
     for eps in eps_list:
@@ -221,7 +190,7 @@ def mixing_profile(g: Graph, kind: str, k_max: int,
     flagged = bool(min(Ds) >= 0.99) if Ds else True
     return MixingProfile(kind=kind, k_values=ks, D_values=Ds,
                          eps_list=eps_list, crossings=crossings,
-                         flagged_nonergodic=flagged, states=n_states_out,
-                         starts_used=starts_used,
+                         flagged_nonergodic=flagged, states=op.states,
+                         starts_used=int(starts.size),
                          delta=delta if kind == "lazy" else None,
                          D_vertex_values=D_vertex)

@@ -257,11 +257,11 @@ def bt_bias_on_finite_tree(t: FiniteTree, k: int, delta: float = 0.5) -> float:
         raise ValueError(f"laziness must lie in (0, 1), got {delta}")
     if t.num_vertices == 1:
         return 0.0
-    g = t.to_graph()
-    degf = g.degrees_float
+    op = kernels.WalkOperator(t.to_graph(), "lazy", delta)
+    degf = op.g.degrees_float
     v = degf
     for _ in range(k):
-        v = delta * v + (1.0 - delta) * kernels._bt_expect(g, v, degf)
+        v = op.expect(v)
     return float(v[0] - degf[0])
 
 

@@ -218,7 +218,7 @@ AC5_LIMIT = exact_mu(OffspringLaw.from_dict({3: 0.5, 4: 0.5}))
 
 
 def _pooled_cm_bias(n, replicas, k_fn, kind, master, erase=False):
-    vals, ws = [], []
+    mus = []
     k_n = None
     for r in range(replicas):
         seed = mix_seed(mix_seed(master, n), r)
@@ -228,12 +228,8 @@ def _pooled_cm_bias(n, replicas, k_fn, kind, master, erase=False):
             g, _ = erase_to_simple(g)
         if k_n is None:
             k_n = k_fn(g)
-        mu = bias_all(g, k_n, kind)
-        vals.append(mu.values)
-        ws.append(mu.weights / replicas)
-    pooled = EmpiricalMeasure.from_values(np.concatenate(vals),
-                                          np.concatenate(ws))
-    return pooled, k_n
+        mus.append(bias_all(g, k_n, kind))
+    return EmpiricalMeasure.mixture(mus), k_n
 
 
 def test_ac05_joint_regime_before_mixing():

@@ -193,6 +193,29 @@ def test_sweep_outputs(tmp_path):
     assert len(lines) == 2 + 2 * 6
 
 
+def test_sweep_regular_family_psi_zero(tmp_path):
+    # all-degree-3 multigraphs stay exactly regular, so every window is 0
+    cfg = write_config(tmp_path, "sw.json", experiment="sweep",
+                       gen={"model": "configuration", "n": 24,
+                            "degree_pmf": {"3": 1.0}},
+                       kind="nb", k_max=4, seed=4, n_grid=[24, 48],
+                       window_N=1, out=str(tmp_path / "out"))
+    assert main(["sweep", "--config", cfg]) == 0
+    psi = json.loads((tmp_path / "out" / "psi.json").read_text())
+    assert psi["psi_window"] == 0.0
+
+
+def test_sweep_empty_window_exits_2(tmp_path):
+    for window_N, k_max in ((10, 4), (100, 200)):
+        cfg = write_config(tmp_path, "sw.json", experiment="sweep",
+                           gen={"model": "configuration", "n": 24,
+                                "degree_pmf": {"3": 1.0}},
+                           kind="nb", k_max=k_max, seed=4, n_grid=[24],
+                           window_N=window_N, out=str(tmp_path / "out"))
+        assert main(["sweep", "--config", cfg]) == 2
+        assert not (tmp_path / "out" / "psi.json").exists()
+
+
 def test_oracle_check_passes(capsys):
     assert main(["oracle-check"]) == 0
     assert "PASS" in capsys.readouterr().out

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from friendbias import (DistVector, EdgeChain, GenSpec, annealed_bias,
-                        bias_all, bias_k, bt_push, build_graph, lazy_push,
-                        nb_k_step, validate_for_exploration)
-from friendbias.kernels import KernelError, _bias_vector
+from friendbias import (DistVector, EmpiricalMeasure, GenSpec, WalkOperator,
+                        annealed_bias, bias_all, bias_k, build_graph,
+                        validate_for_exploration)
+from friendbias.kernels import KernelError, _k_step_dist
 from friendbias.oracle import small_graph_corpus
 
 from conftest import dense_transition
@@ -23,81 +23,81 @@ def test_distvector_validation():
 
 
 def test_bt_push_path3(path3):
-    mid = DistVector.point_mass("vertices", 3, 1)
-    out = bt_push(path3, mid)
-    assert np.allclose(out.weights, [0.5, 0.0, 0.5])
-    end = DistVector.point_mass("vertices", 3, 0)
-    assert np.allclose(bt_push(path3, end).weights, [0.0, 1.0, 0.0])
+    op = WalkOperator(path3, "bt")
+    assert np.allclose(op.push(op.lift(1)), [0.5, 0.0, 0.5])
+    assert np.allclose(op.push(op.lift(0)), [0.0, 1.0, 0.0])
 
 
 def test_bt_push_uniform_fixed_on_regular(triangle):
     u = DistVector.uniform("vertices", 3)
-    assert np.allclose(bt_push(triangle, u).weights, u.weights)
+    assert np.allclose(WalkOperator(triangle, "bt").push(u.weights), u.weights)
 
 
 def test_bt_push_errors():
     loopy = build_graph(2, [(0, 1), (1, 1)])
-    with pytest.raises(KernelError):
-        bt_push(loopy, DistVector.uniform("vertices", 2))
     lonely = build_graph(3, [(0, 1)])
-    with pytest.raises(KernelError):
-        bt_push(lonely, DistVector.uniform("vertices", 3))
-    # isolated vertex outside the support is tolerated
-    ok = bt_push(lonely, DistVector.point_mass("vertices", 3, 0))
-    assert np.allclose(ok.weights, [0.0, 1.0, 0.0])
+    for g in (loopy, lonely):
+        for kind in ("bt", "lazy"):
+            with pytest.raises(KernelError):
+                WalkOperator(g, kind)
+    with pytest.raises(ValueError):
+        WalkOperator(lonely, "simple")
 
 
 def test_lazy_push_definition(path3):
-    d = DistVector.point_mass("vertices", 3, 0)
-    out = lazy_push(path3, d, 0.5)
-    assert np.allclose(out.weights, [0.5, 0.5, 0.0])
+    op = WalkOperator(path3, "lazy", 0.5)
+    assert np.allclose(op.push(op.lift(0)), [0.5, 0.5, 0.0])
     for bad in (0.0, 1.0, -0.1, 1.1):
         with pytest.raises(ValueError):
-            lazy_push(path3, d, bad)
+            WalkOperator(path3, "lazy", bad)
 
 
 def test_lazy_fixed_point_is_degree_proportional(fig_a):
     pi = DistVector.normalized("vertices", fig_a.degrees_float)
-    out = lazy_push(fig_a, pi, 0.5)
-    assert np.abs(out.weights - pi.weights).max() < 1e-15
+    out = WalkOperator(fig_a, "lazy", 0.5).push(pi.weights)
+    assert np.abs(out - pi.weights).max() < 1e-15
 
 
 def test_lazy_converges_on_bipartite_path(path3):
     # explicit 3x3 matrix powers as the oracle
     P = dense_transition(path3)
     L = 0.5 * np.eye(3) + 0.5 * P
-    d = DistVector.point_mass("vertices", 3, 0)
+    lazy = WalkOperator(path3, "lazy", 0.5)
+    d = lazy.lift(0)
     row = np.array([1.0, 0.0, 0.0])
     for _ in range(60):
-        d = lazy_push(path3, d, 0.5)
+        d = lazy.push(d)
         row = row @ L
-    assert np.abs(d.weights - row).max() < 1e-12
-    assert np.abs(d.weights - np.array([0.25, 0.5, 0.25])).max() < 1e-8
+    assert np.abs(d - row).max() < 1e-12
+    assert np.abs(d - np.array([0.25, 0.5, 0.25])).max() < 1e-8
     # the non-lazy walk keeps oscillating between the two parity classes
-    e = DistVector.point_mass("vertices", 3, 0)
+    bt = WalkOperator(path3, "bt")
+    e = bt.lift(0)
     for _ in range(60):
-        e = bt_push(path3, e)
-    assert np.allclose(e.weights, [0.5, 0.0, 0.5])   # even step count
-    assert np.allclose(bt_push(path3, e).weights, [0.0, 1.0, 0.0])
+        e = bt.push(e)
+    assert np.allclose(e, [0.5, 0.0, 0.5])   # even step count
+    assert np.allclose(bt.push(e), [0.0, 1.0, 0.0])
 
 
 def test_nb_k_step_k0(complete4):
-    assert np.allclose(nb_k_step(complete4, 2, 0).weights, [0, 0, 1, 0])
+    assert np.allclose(_k_step_dist(complete4, 2, 0, "nb", 0.5).weights,
+                       [0, 0, 1, 0])
 
 
 def test_nb_k_step_k2_complete4(complete4):
-    out = nb_k_step(complete4, 0, 2)
-    assert np.allclose(out.weights, [0.0, 1 / 3, 1 / 3, 1 / 3])
+    op = WalkOperator(complete4, "nb")
+    out = op.to_vertices(op.push(op.lift(0)))
+    assert np.allclose(out, [0.0, 1 / 3, 1 / 3, 1 / 3])
 
 
 def test_nb_walk_circulates_on_triangle(triangle):
-    out = nb_k_step(triangle, 0, 3)
+    out = _k_step_dist(triangle, 0, 3, "nb", 0.5)
     assert np.allclose(out.weights, [1.0, 0.0, 0.0])
 
 
 def test_nb_rejects_low_degree(path3):
     with pytest.raises(KernelError):
-        nb_k_step(path3, 0, 2)
+        WalkOperator(path3, "nb")
 
 
 def test_bias_zero_on_regular(triangle, cycle4, complete4):
@@ -161,44 +161,66 @@ def test_bias_k_matches_bias_all(fig_a, complete4):
         for kind in ("bt", "nb", "lazy"):
             for k in (1, 2, 4):
                 per_vertex = np.array([bias_k(g, i, k, kind) for i in range(g.n)])
-                vec = _bias_vector(g, k, kind, 0.5)
-                assert np.abs(np.sort(per_vertex) - np.sort(vec)).max() < 1e-12
+                m = bias_all(g, k, kind)
+                want = EmpiricalMeasure.from_values(per_vertex)
+                assert np.abs(want.values - m.values).max() < 1e-12
+                assert np.array_equal(want.weights, m.weights)
 
 
 def test_edge_chain_doubly_stochastic():
     for name, g in small_graph_corpus().items():
         if not validate_for_exploration(g, "nb").ok:
             continue
-        chain = EdgeChain(g)
+        op = WalkOperator(g, "nb")
         m2 = g.num_half_edges
         M = np.zeros((m2, m2))
         for e in range(m2):
             w = np.zeros(m2)
             w[e] = 1.0
-            M[e] = chain.push(w)
+            M[e] = op.push(w)
         assert np.abs(M.sum(axis=1) - 1.0).max() < 1e-12, name   # rows
         assert np.abs(M.sum(axis=0) - 1.0).max() < 1e-12, name   # columns
         uniform = np.full(m2, 1.0 / m2)
-        assert np.abs(chain.push(uniform) - uniform).max() < 1e-14, name
+        assert np.abs(op.push(uniform) - uniform).max() < 1e-14, name
+
+
+def _cm_graph(seed, n):
+    from friendbias import gen_configuration_model, sample_degree_sequence
+    seq = sample_degree_sequence({2: 0.3, 3: 0.4, 4: 0.3}, n, seed)
+    return gen_configuration_model(seq, seed + 1)
 
 
 @given(st.integers(0, 10 ** 6), st.integers(10, 200), st.sampled_from(["bt", "nb", "lazy"]),
        st.integers(1, 6))
 @settings(max_examples=25, deadline=None)
 def test_row_stochasticity_random_graphs(seed, n, kind, k):
-    from friendbias import gen_configuration_model, sample_degree_sequence
-    seq = sample_degree_sequence({2: 0.3, 3: 0.4, 4: 0.3}, n, seed)
-    g = gen_configuration_model(seq, seed + 1)
+    g = _cm_graph(seed, n)
     if not validate_for_exploration(g, "bt" if kind == "lazy" else kind).ok:
         return
-    start = seed % n
-    if kind == "nb":
-        d = nb_k_step(g, start, k)
-    else:
-        d = DistVector.point_mass("vertices", g.n, start)
-        for _ in range(k):
-            d = bt_push(g, d) if kind == "bt" else lazy_push(g, d, 0.5)
+    d = _k_step_dist(g, seed % n, k, kind, 0.5)
     assert abs(float(d.weights.sum()) - 1.0) <= 1e-12
+
+
+@given(st.integers(0, 10 ** 6), st.integers(10, 120),
+       st.sampled_from(["bt", "nb", "lazy"]))
+@settings(max_examples=25, deadline=None)
+def test_walk_operator_batch_and_duality(seed, n, kind):
+    # unerased CM multigraphs: self-loops and parallel edges are kept
+    g = _cm_graph(seed, n)
+    if not validate_for_exploration(g, "bt" if kind == "lazy" else kind).ok:
+        return
+    op = WalkOperator(g, kind, 0.3)
+    rng = np.random.default_rng(seed)
+    W = rng.random((4, op.states))
+    W /= W.sum(axis=1, keepdims=True)
+    Y = rng.standard_normal((4, op.states))
+    pushed = op.push(W)
+    for w, y, row in zip(W, Y, pushed):
+        assert np.array_equal(op.push(w), row)
+        assert abs(np.dot(row, y) - np.dot(w, op.expect(y))) <= 1e-12
+    lifts = np.array([op.lift(i) for i in range(g.n)])
+    for w, row in zip(lifts, op.to_vertices(lifts)):
+        assert np.array_equal(op.to_vertices(w), row)
 
 
 def test_annealed_single_replica_equals_quenched():

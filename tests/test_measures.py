@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from friendbias import GenSpec
 from friendbias.measures import (EmpiricalMeasure, ks_distance, levy_distance,
-                                 mean, moment, psi_window, w1_distance)
+                                 w1_distance)
 
 
 def measure(vals, weights=None, **meta):
@@ -30,12 +29,12 @@ def test_weight_validation():
 
 
 def test_mean_and_moment():
-    assert mean(measure([0.0])) == 0.0
+    assert measure([0.0]).mean() == 0.0
     star = measure([-2.0, 2.0], [0.25, 0.75])
-    assert mean(star) == pytest.approx(1.0)
-    assert moment(star, 2) == pytest.approx(4.0)
+    assert star.mean() == pytest.approx(1.0)
+    assert star.moment(2) == pytest.approx(4.0)
     with pytest.raises(ValueError):
-        moment(star, 0)
+        star.moment(0)
 
 
 def test_distances_coincide_for_equal():
@@ -103,6 +102,15 @@ def test_merging_does_not_change_distances(a, b):
         assert dist(dup, mb) == pytest.approx(dist(ma, mb), abs=1e-12)
 
 
+def test_mixture_pools_equal_mass_parts():
+    a = measure([0.0, 1.0], [0.5, 0.5])
+    b = measure([1.0, 3.0], [0.25, 0.75])
+    m = EmpiricalMeasure.mixture([a, b], meta={"replicas": 2})
+    assert m.values.tolist() == [0.0, 1.0, 3.0]
+    assert m.weights.tolist() == [0.25, 0.375, 0.375]
+    assert m.meta == {"replicas": 2}
+
+
 def test_cdf_and_mass_at_least():
     m = measure([-1.0, 0.0, 2.0], [0.2, 0.3, 0.5])
     assert m.cdf([-2.0, -1.0, 1.0, 2.0]).tolist() == [0.0, 0.2, 0.5, 1.0]
@@ -129,17 +137,3 @@ def test_histogram_masses():
     assert rows[1][2] == pytest.approx(0.75)
     assert sum(r[2] for r in rows) == pytest.approx(1.0)
 
-
-def test_psi_window_regular_family_zero():
-    # all-degree-3 multigraphs stay exactly regular, so every window is 0
-    spec = GenSpec(model="configuration", n=24, degree_pmf={3: 1.0}, seed=4)
-    worst = psi_window(spec, kinds=("nb",), N=1, K_max=4, n_grid=[24, 48])
-    assert worst == 0.0
-
-
-def test_psi_window_empty_window():
-    spec = GenSpec(model="configuration", n=24, degree_pmf={3: 1.0}, seed=4)
-    with pytest.raises(ValueError):
-        psi_window(spec, kinds=("nb",), N=10, K_max=4, n_grid=[24])
-    with pytest.raises(ValueError):
-        psi_window(spec, kinds=("nb",), N=100, K_max=200, n_grid=[24])

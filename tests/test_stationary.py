@@ -166,14 +166,17 @@ def test_mixing_profile_matches_dense_matrix_powers(fig_a):
         assert abs(prof.D_values[k - 1] - want) < 1e-12
 
     g = build_graph(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (2, 3)])
-    from friendbias import EdgeChain
-    chain = EdgeChain(g)
+    # edge-chain matrix from its definition: from e, uniform over the
+    # half-edges leaving head(e) other than twin(e)
     m2 = g.num_half_edges
     E = np.zeros((m2, m2))
     for e in range(m2):
-        row = np.zeros(m2)
-        row[e] = 1.0
-        E[e] = chain.push(row)
+        h = int(g.heads[e])
+        for f in g.out_slice(h):
+            if f != e ^ 1:
+                E[e, f] = 1.0 / (g.degrees[h] - 1)
+    from friendbias import WalkOperator
+    assert np.abs(WalkOperator(g, "nb").push(np.eye(m2)) - E).max() < 1e-15
     prof = mixing_profile(g, "nb", 8)
     M = np.eye(m2)
     for k in range(1, 9):
