@@ -1,0 +1,164 @@
+#!/usr/bin/env python3
+"""Digest the output bytes of a fixed set of small CLI runs.
+
+Covers every experiment; the bt, nb and lazy explorations; nb `mixing` and
+`stationary` on unerased configuration-model multigraphs with self-loops;
+Erdos-Renyi with `restrict_giant`; `erase`; and `graph_file` input. Each run
+writes into a relative `--out` directory under WORKDIR, so the config
+headers in the outputs do not depend on where the script runs. A run's exit
+code and console output go to `<run>/console.txt`.
+
+Prints `sha256  path` for every file under the run directories, then one
+overall digest of that listing. Two checkouts that print the same overall
+digest wrote the same bytes.
+
+    python3 scripts/output_digests.py [--workdir out/digests]
+"""
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import os
+import shutil
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from friendbias.cli import main as cli_main
+
+PMF34 = {"3": 0.5, "4": 0.5}
+PMF234 = {"2": 0.3, "3": 0.4, "4": 0.3}
+
+
+def _cm(n, pmf=PMF34, seed=0):
+    return {"model": "configuration", "n": n, "degree_pmf": pmf, "seed": seed}
+
+
+def _er(n, lam, seed=0):
+    return {"model": "erdos_renyi", "n": n, "lam": lam, "seed": seed}
+
+
+def runs() -> list[tuple[str, dict]]:
+    """(name, config) pairs in run order; `generate-*` come first because
+    the `file-*` runs read their edge lists."""
+    out = [
+        ("generate-cm-multi", {"experiment": "generate", "gen": _cm(40, PMF234),
+                               "seed": 3}),
+        ("generate-er-giant", {"experiment": "generate", "gen": _er(100, 3.0),
+                               "restrict_giant": True, "seed": 4}),
+    ]
+    for kind in ("bt", "nb", "lazy"):
+        erase = kind != "nb"
+        base = {"kind": kind, "erase": erase, "seed": 11}
+        out += [
+            (f"bias-{kind}", dict(base, experiment="bias", gen=_cm(80), k=3,
+                                  replicas=3)),
+            (f"stationary-{kind}", dict(base, experiment="stationary",
+                                        gen=_cm(80))),
+            (f"mixing-{kind}", dict(base, experiment="mixing", gen=_cm(60),
+                                    k_max=40)),
+            (f"sweep-{kind}", dict(base, experiment="sweep", gen=_cm(40),
+                                   n_grid=[40, 80], k_max=6, window_N=2)),
+            (f"joint-{kind}", dict(base, experiment="joint", gen=_cm(50),
+                                   n_grid=[50, 100], k="log_n(1)",
+                                   replicas=2)),
+            (f"joint-mix10-{kind}", dict(base, experiment="joint", gen=_cm(60),
+                                         n_grid=[60, 120], k="mix10(0.01)",
+                                         k_max=80)),
+        ]
+    # unerased multigraphs with self-loops under nb
+    multi = {"kind": "nb", "gen": _cm(40, PMF234), "seed": 3}
+    out += [
+        ("multi-bias-nb", dict(multi, experiment="bias", k=4, replicas=2)),
+        ("multi-stationary-nb", dict(multi, experiment="stationary")),
+        ("multi-mixing-nb", dict(multi, experiment="mixing", k_max=30)),
+        ("multi-mixing-nb-capped", dict(multi, experiment="mixing", k_max=30,
+                                        starts_cap=16)),
+        ("multi-sweep-nb", dict(multi, experiment="sweep", n_grid=[30, 60],
+                                k_max=5)),
+        ("multi-joint-nb", dict(multi, experiment="joint", n_grid=[40, 80],
+                                k="log_n(1)", replicas=2)),
+    ]
+    er = {"gen": _er(300, 3.0), "restrict_giant": True, "seed": 5}
+    out += [
+        ("er-giant-bias-bt", dict(er, experiment="bias", kind="bt", k=2,
+                                  replicas=2)),
+        ("er-giant-sweep-bt", dict(er, experiment="sweep", kind="bt",
+                                   n_grid=[150, 300], k_max=5)),
+        ("er-giant-stationary", dict(er, experiment="stationary", kind="lazy")),
+        ("er-giant-mixing-lazy", dict(er, experiment="mixing", kind="lazy",
+                                      k_max=30, starts_cap=20)),
+        ("er-joint-bt", dict(er, experiment="joint", kind="bt",
+                             n_grid=[150, 300], k=[2, 3])),
+        ("er-giant-bias-component", dict(er, experiment="bias", kind="lazy",
+                                         k=2, scope="component")),
+        # isolated vertices: the stationary law is refused (exit 3)
+        ("er-full-stationary", {"experiment": "stationary", "gen": _er(300, 1.5),
+                                "seed": 5}),
+    ]
+    cm_file = "generate-cm-multi/graph.edges"
+    er_file = "generate-er-giant/graph.edges"
+    out += [
+        ("file-bias-nb", {"experiment": "bias", "graph_file": cm_file,
+                          "kind": "nb", "k": 5}),
+        ("file-mixing-nb", {"experiment": "mixing", "graph_file": cm_file,
+                            "kind": "nb", "k_max": 20}),
+        ("file-stationary-component", {"experiment": "stationary",
+                                       "graph_file": cm_file,
+                                       "scope": "component"}),
+        ("file-bias-er-bt", {"experiment": "bias", "graph_file": er_file,
+                             "kind": "bt", "k": 2}),
+        ("limit-mu", {"experiment": "limit-mu", "pmf": PMF34,
+                      "n_samples": 3000, "seed": 3}),
+        ("limit-mu-star", {"experiment": "limit-mu-star",
+                           "pmf": {"1": 0.75, "2": 0.25}, "n_samples": 2000,
+                           "seed": 3}),
+        ("noncommute", {"experiment": "noncommute",
+                        "pmf": {"1": 0.75, "2": 0.25}, "n_samples": 2000,
+                        "seed": 12}),
+        ("oracle-check", {"experiment": "oracle-check"}),
+    ]
+    return out
+
+
+def run_one(name: str, cfg: dict) -> None:
+    shutil.rmtree(name, ignore_errors=True)
+    Path(name).mkdir()
+    cfg = dict(cfg, out=name)
+    cfg_path = Path(name) / "config.json"
+    cfg_path.write_text(json.dumps(cfg, sort_keys=True, indent=1) + "\n")
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        rc = cli_main([cfg["experiment"], "--config", str(cfg_path)])
+    (Path(name) / "console.txt").write_text(
+        f"exit {rc}\n--- stdout\n{stdout.getvalue()}--- stderr\n"
+        f"{stderr.getvalue()}")
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__,
+                                 formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("--workdir", default="out/digests")
+    args = ap.parse_args()
+    Path(args.workdir).mkdir(parents=True, exist_ok=True)
+    os.chdir(args.workdir)
+    plan = runs()
+    for name, cfg in plan:
+        run_one(name, cfg)
+    listing = []
+    for name, _ in plan:
+        for path in sorted(Path(name).rglob("*")):
+            if path.is_file():
+                digest = hashlib.sha256(path.read_bytes()).hexdigest()
+                listing.append(f"{digest}  {path.as_posix()}\n")
+    text = "".join(listing)
+    sys.stdout.write(text)
+    print(f"overall  {hashlib.sha256(text.encode()).hexdigest()}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -72,6 +72,8 @@ class ExperimentConfig:
             raise ConfigError(f"laziness delta must lie in (0, 1), got {self.delta}")
         if self.replicas < 1:
             raise ConfigError("replicas must be >= 1")
+        if self.scope not in ("global", "component"):
+            raise ConfigError(f"unknown scope {self.scope!r}")
         if self.distance not in measures.DISTANCES:
             raise ConfigError(f"unknown distance {self.distance!r}")
         if isinstance(self.k, str):
@@ -126,7 +128,7 @@ def schedule_k(cfg: ExperimentConfig, n: int, n_index: int, graph=None) -> int:
         return max(1, math.ceil(value * math.log(n)))
     profile = stationary.mixing_profile(
         graph, cfg.kind, cfg.k_max, eps_list=(value,), delta=cfg.delta,
-        starts_cap=cfg.starts_cap if graph.n > 2000 else None)
+        starts_cap=cfg.starts_cap)
     crossing = profile.first_crossing(value)
     if crossing is None:
         raise PreconditionError(
@@ -233,11 +235,20 @@ def run_bias(cfg: ExperimentConfig) -> int:
     if cfg.graph_file is not None and cfg.replicas != 1:
         raise ConfigError("replicas > 1 requires a generated family, not a graph file")
     mus = []
+    levy_to_limit = None
     for r in range(cfg.replicas):
         g = _resolve_graph(cfg, r)
         _check_kind(cfg, g)
         mus.append(kernels.bias_all(g, k, cfg.kind, delta=cfg.delta,
                                     meta={"replica": r, "seed": cfg.seed}))
+        if r == 0:
+            # distance of the quenched measure to its stationary limit, in the
+            # configured metric (levy by default), when the limit is defined
+            try:
+                limit = stationary.stationary_bias(g, scope=cfg.scope)
+                levy_to_limit = measures.DISTANCES[cfg.distance](mus[0], limit)
+            except ExplorationPreconditionError:   # KernelError included
+                pass
     out = Path(cfg.out)
     _write_measure(out / "bias_measure.json", mus[0], cfg)
     primary = mus[0]
@@ -247,14 +258,6 @@ def run_bias(cfg: ExperimentConfig) -> int:
                   "annealed": True}).measure
         _write_measure(out / "bias_measure_annealed.json", primary, cfg)
     _write_histogram(out / "bias_histogram.csv", primary, cfg)
-    # distance of the quenched measure to its stationary limit, in the
-    # configured metric (levy by default), when the limit is defined
-    levy_to_limit = None
-    try:
-        limit = stationary.stationary_bias(_resolve_graph(cfg, 0), scope=cfg.scope)
-        levy_to_limit = measures.DISTANCES[cfg.distance](mus[0], limit)
-    except (KernelError, ExplorationPreconditionError, ValueError):
-        pass
     row = {"experiment": "bias", "n": mus[0].meta.get("n"), "k": k,
            "kind": cfg.kind, "seed": cfg.seed, "mean": primary.mean(),
            "nonneg_fraction": primary.mass_at_least(0.0),

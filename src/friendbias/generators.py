@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph_core import Graph, build_graph, largest_component
+from .graph_core import Graph, build_graph, largest_component, sorted_unique
 
 RNG_ALGORITHM = "numpy-pcg64"
 SEED_MIX_ALGORITHM = "splitmix64-v1"
@@ -139,7 +139,7 @@ def gen_erdos_renyi(n: int, lam: float, seed: int) -> Graph:
         [[0], np.cumsum(n - 1 - np.arange(n, dtype=np.int64))])
     i = np.searchsorted(row_starts, codes, side="right") - 1
     j = i + 1 + (codes - row_starts[i])
-    return build_graph(n, list(zip(i.tolist(), j.tolist())))
+    return build_graph(n, np.stack((i, j), axis=1))
 
 
 def gen_configuration_model(degree_seq, seed: int) -> Graph:
@@ -155,8 +155,7 @@ def gen_configuration_model(degree_seq, seed: int) -> Graph:
     stubs = np.repeat(np.arange(seq.size, dtype=np.int64), seq)
     rng = _rng(seed)
     s = stubs[rng.permutation(stubs.size)]
-    edges = list(zip(s[0::2].tolist(), s[1::2].tolist()))
-    return build_graph(seq.size, edges)
+    return build_graph(seq.size, s.reshape(-1, 2))
 
 
 def sample_degree_sequence(pmf: dict, n: int, seed: int) -> np.ndarray:
@@ -176,23 +175,14 @@ def erase_to_simple(g: Graph) -> tuple[Graph, dict]:
     Returns the simple graph plus metadata recording how much was erased;
     callers that need exact stub conservation must keep the multigraph.
     """
-    seen: set[tuple[int, int]] = set()
-    edges: list[tuple[int, int]] = []
-    loops = 0
-    collapsed = 0
-    for u, v in g.edge_endpoints:
-        if u == v:
-            loops += 1
-            continue
-        key = (u, v) if u < v else (v, u)
-        if key in seen:
-            collapsed += 1
-            continue
-        seen.add(key)
-        edges.append(key)
-    simple = build_graph(g.n, sorted(edges))
-    meta = {"erased": True, "self_loops_removed": loops,
-            "parallel_edges_collapsed": collapsed}
+    lo, hi = g.edges.min(axis=1), g.edges.max(axis=1)
+    loops = lo == hi
+    # (min, max) pairs packed as min * n + max sort like the pairs themselves
+    codes = lo[~loops] * g.n + hi[~loops]
+    kept = sorted_unique(codes)
+    simple = build_graph(g.n, np.stack((kept // g.n, kept % g.n), axis=1))
+    meta = {"erased": True, "self_loops_removed": int(loops.sum()),
+            "parallel_edges_collapsed": int(codes.size - kept.size)}
     return simple, meta
 
 

@@ -1,15 +1,17 @@
 """Immutable undirected multigraph with half-edge structure.
 
-Vertices are dense 0-based integers. Edges form an ordered multiset of
-endpoint pairs; parallel edges and self-loops are allowed. Every undirected
-edge t = (u, v) owns two directed half-edges: id 2t runs u -> v and id
-2t + 1 runs v -> u, so the twin of half-edge e is always e ^ 1. A self-loop
-contributes 2 to the degree of its endpoint, which keeps the handshake
-identity sum(degrees) == number of half-edges exact.
+Vertices are dense 0-based integers. The edges are one (m, 2) int64 array
+of endpoint pairs in input order; parallel edges and self-loops are
+allowed. Every undirected edge t = (u, v) owns two directed half-edges: id
+2t runs u -> v and id 2t + 1 runs v -> u, so the twin of half-edge e is
+always e ^ 1. A self-loop contributes 2 to the degree of its endpoint,
+which keeps the handshake identity sum(degrees) == number of half-edges
+exact.
 
-Two access patterns are precomputed: a CSR layout of half-edges grouped by
-tail (used for row sums of walk kernels) and one grouped by head (used for
-distribution pushes and head projections).
+The half-edges are also laid out grouped by tail (a CSR layout). Every
+vertex has as many half-edges in as out, and the twins of the half-edges
+leaving a vertex are the half-edges entering it, so this one layout serves
+both row sums and pushes of the walk kernels.
 """
 
 from __future__ import annotations
@@ -27,10 +29,13 @@ class ExplorationPreconditionError(ValueError):
     """Raised when a walk kernel is applied to a structurally invalid graph."""
 
 
-def _csr(keys: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    order = np.argsort(keys, kind="stable")
-    starts = np.searchsorted(keys[order], np.arange(n + 1))
-    return starts.astype(np.int64), order.astype(np.int64)
+def sorted_unique(a: np.ndarray) -> np.ndarray:
+    """np.unique of an integer array, by sorting. np.unique hashes integers
+    (numpy >= 2.3), which is tens of times slower on large arrays."""
+    a = np.sort(a)
+    keep = np.ones(a.size, dtype=bool)
+    np.not_equal(a[1:], a[:-1], out=keep[1:])
+    return a[keep]
 
 
 @dataclass(eq=False)
@@ -38,20 +43,17 @@ class Graph:
     """Undirected multigraph; treat as immutable after construction."""
 
     n: int
-    edge_endpoints: list[tuple[int, int]]
+    edges: np.ndarray            # int64 (m, 2), endpoint pairs in input order
     degrees: np.ndarray          # int64, degrees[i] counts half-edges with tail i
     tails: np.ndarray            # int64, tail vertex of each half-edge
     heads: np.ndarray            # int64, head vertex of each half-edge
     out_start: np.ndarray        # CSR offsets of half-edges grouped by tail
     out_edges: np.ndarray        # half-edge ids sorted by (tail, id)
-    in_start: np.ndarray         # CSR offsets of half-edges grouped by head
-    in_edges: np.ndarray         # half-edge ids sorted by (head, id)
-    _adjacency: list | None = field(default=None, repr=False)
     _degf: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def num_edges(self) -> int:
-        return len(self.edge_endpoints)
+        return len(self.edges)
 
     @property
     def num_half_edges(self) -> int:
@@ -63,25 +65,6 @@ class Graph:
             self._degf = self.degrees.astype(np.float64)
         return self._degf
 
-    def twin(self, e: int) -> int:
-        return e ^ 1
-
-    @property
-    def adjacency(self) -> list[list[tuple[int, int]]]:
-        """Per-vertex sorted (neighbor, multiplicity) lists.
-
-        A self-loop at v appears as (v, number_of_loops); its degree
-        contribution is twice that multiplicity.
-        """
-        if self._adjacency is None:
-            counts: list[dict[int, int]] = [dict() for _ in range(self.n)]
-            for u, v in self.edge_endpoints:
-                counts[u][v] = counts[u].get(v, 0) + 1
-                if u != v:
-                    counts[v][u] = counts[v].get(u, 0) + 1
-            self._adjacency = [sorted(c.items()) for c in counts]
-        return self._adjacency
-
     def has_self_loops(self) -> bool:
         return bool(np.any(self.tails == self.heads))
 
@@ -91,35 +74,39 @@ class Graph:
 
 
 def build_graph(n: int, edges) -> Graph:
-    """Build a Graph from an edge list; raises on out-of-range indices.
+    """Build a Graph from an edge list (any iterable of pairs, or an array);
+    raises on out-of-range indices.
 
     Half-edges are numbered in input order: edge t contributes ids 2t and
     2t + 1, so construction is deterministic for a fixed edge order.
     """
     if n < 1:
         raise GraphConstructionError(f"vertex count must be >= 1, got {n}")
-    endpoints: list[tuple[int, int]] = []
-    for u, v in edges:
-        u, v = int(u), int(v)
-        if not (0 <= u < n and 0 <= v < n):
-            raise GraphConstructionError(f"edge ({u}, {v}) out of range for n={n}")
-        endpoints.append((u, v))
-    m = len(endpoints)
-    tails = np.empty(2 * m, dtype=np.int64)
-    heads = np.empty(2 * m, dtype=np.int64)
-    if m:
-        arr = np.asarray(endpoints, dtype=np.int64)
-        tails[0::2] = arr[:, 0]
-        tails[1::2] = arr[:, 1]
-        heads[0::2] = arr[:, 1]
-        heads[1::2] = arr[:, 0]
+    if not isinstance(edges, np.ndarray):
+        edges = list(edges)
+    try:
+        edges = np.array(edges, dtype=np.int64)
+    except OverflowError:   # ids beyond int64 are out of range: keep them exact
+        edges = np.array(edges, dtype=object)
+    if edges.size == 0:
+        edges = edges.reshape(0, 2)
+    if edges.ndim != 2 or edges.shape[1] != 2:
+        raise GraphConstructionError(
+            f"edges must be endpoint pairs, got shape {edges.shape}")
+    bad = np.flatnonzero(((edges < 0) | (edges >= n)).any(axis=1))
+    if bad.size:
+        u, v = edges[bad[0]].tolist()
+        raise GraphConstructionError(f"edge ({u}, {v}) out of range for n={n}")
+    tails = edges.reshape(-1)
+    heads = edges[:, ::-1].reshape(-1)
     degrees = np.bincount(tails, minlength=n).astype(np.int64)
-    out_start, out_edges = _csr(tails, n)
-    in_start, in_edges = _csr(heads, n)
-    return Graph(n=n, edge_endpoints=endpoints, degrees=degrees,
-                 tails=tails, heads=heads,
-                 out_start=out_start, out_edges=out_edges,
-                 in_start=in_start, in_edges=in_edges)
+    out_start = np.concatenate(([0], np.cumsum(degrees)))
+    # ids grouped by tail, ascending within each: sorting the distinct keys
+    # tail * 2m + id is several times faster than a stable argsort
+    m2 = max(tails.size, 1)
+    out_edges = np.sort(tails * m2 + np.arange(tails.size)) % m2
+    return Graph(n=n, edges=edges, degrees=degrees, tails=tails, heads=heads,
+                 out_start=out_start, out_edges=out_edges)
 
 
 @dataclass
@@ -146,56 +133,67 @@ class ComponentInfo:
                    zip(self.is_regular, self.is_biregular_bipartite))
 
 
+def _min_labels(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Smallest vertex of each vertex's component in the graph on n vertices
+    with edges (u[t], v[t]): hook each root onto the smallest root across
+    its edges, then jump pointers until every vertex points at a root."""
+    label = np.arange(n, dtype=np.int64)
+    while True:
+        lu, lv = label[u], label[v]
+        cut = lu != lv
+        if not cut.any():
+            return label
+        np.minimum.at(label, np.maximum(lu, lv)[cut], np.minimum(lu, lv)[cut])
+        while True:
+            jumped = label[label]
+            if np.array_equal(jumped, label):
+                break
+            label = jumped
+
+
+def _constant_per_key(keys: np.ndarray, values: np.ndarray,
+                      size: int) -> np.ndarray:
+    """For each key in [0, size): are the nonnegative `values` at that key
+    all equal? An absent key counts as constant."""
+    lo = np.full(size, np.iinfo(np.int64).max)
+    hi = np.full(size, -1, dtype=np.int64)
+    np.minimum.at(lo, keys, values)
+    np.maximum.at(hi, keys, values)
+    return lo >= hi
+
+
 def analyze_components(g: Graph) -> ComponentInfo:
     """Label components and compute bipartiteness / regularity flags.
 
-    Bipartiteness uses 2-coloring; a self-loop is an odd cycle and makes its
-    component non-bipartite. A component is bi-regular bipartite when a
-    2-coloring exists and the degree is constant on each color class.
+    Components are numbered in order of their smallest vertex. The labels
+    come from the bipartite double cover (vertex x has copies x and x + n,
+    and edge (u, v) becomes (u, v + n) and (u + n, v)): a component is
+    bipartite exactly when the two copies of its vertices stay apart, and
+    the copy of x that shares a cover component with the smallest vertex
+    gives x's colour. A self-loop is an odd cycle and makes its component
+    non-bipartite. A component is bi-regular bipartite when it is bipartite
+    and the degree is constant on each colour class.
     """
-    comp = np.full(g.n, -1, dtype=np.int64)
-    color = np.full(g.n, -1, dtype=np.int8)
-    sizes, bip, reg, bireg, dsums = [], [], [], [], []
-    cid = 0
-    for s in range(g.n):
-        if comp[s] >= 0:
-            continue
-        members = [s]
-        comp[s] = cid
-        color[s] = 0
-        bipartite = True
-        queue = [s]
-        while queue:
-            u = queue.pop()
-            for e in g.out_slice(u):
-                w = int(g.heads[e])
-                if w == u:
-                    bipartite = False
-                    continue
-                if comp[w] < 0:
-                    comp[w] = cid
-                    color[w] = 1 - color[u]
-                    members.append(w)
-                    queue.append(w)
-                elif color[w] == color[u]:
-                    bipartite = False
-        degs = g.degrees[members]
-        sizes.append(len(members))
-        bip.append(bipartite)
-        reg.append(bool(degs.min() == degs.max()))
-        dsums.append(int(degs.sum()))
-        if bipartite:
-            side0 = degs[color[members] == 0]
-            side1 = degs[color[members] == 1]
-            ok0 = side0.size == 0 or side0.min() == side0.max()
-            ok1 = side1.size == 0 or side1.min() == side1.max()
-            bireg.append(bool(ok0 and ok1))
-        else:
-            bireg.append(False)
-        cid += 1
-    return ComponentInfo(component_id=comp, sizes=sizes, is_bipartite=bip,
-                         is_regular=reg, is_biregular_bipartite=bireg,
-                         degree_sums=dsums)
+    n = g.n
+    u, v = g.edges[:, 0], g.edges[:, 1]
+    cover = _min_labels(2 * n, np.concatenate((u, u + n)),
+                        np.concatenate((v + n, v)))
+    side0, side1 = cover[:n], cover[n:]
+    roots, comp = np.unique(np.minimum(side0, side1), return_inverse=True)
+    color = side0 != roots[comp]
+    c = roots.size
+    bipartite = (side0 != side1)[roots]
+    sides_regular = _constant_per_key(2 * comp + color, g.degrees, 2 * c)
+    degree_sums = np.zeros(c, dtype=np.int64)
+    np.add.at(degree_sums, comp, g.degrees)
+    return ComponentInfo(
+        component_id=comp,
+        sizes=np.bincount(comp, minlength=c).tolist(),
+        is_bipartite=bipartite.tolist(),
+        is_regular=_constant_per_key(comp, g.degrees, c).tolist(),
+        is_biregular_bipartite=(bipartite
+                                & sides_regular.reshape(c, 2).all(axis=1)).tolist(),
+        degree_sums=degree_sums.tolist())
 
 
 EXPLORATION_KINDS = ("bt", "nb", "lazy")
@@ -250,10 +248,9 @@ def validate_for_exploration(g: Graph, kind: str) -> ValidationReport:
 def save_edge_list(g: Graph, path) -> None:
     """Write the plain-text edge-list format: header `n m`, one `u v` line
     per edge, in stored edge order."""
-    lines = [f"{g.n} {g.num_edges}"]
-    lines.extend(f"{u} {v}" for u, v in g.edge_endpoints)
+    lines = np.char.add(g.edges.astype(str), [" ", "\n"]).reshape(-1).tolist()
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(f"{g.n} {g.num_edges}\n" + "".join(lines))
 
 
 def load_edge_list(path) -> Graph:
@@ -266,7 +263,10 @@ def load_edge_list(path) -> Graph:
     if len(body) != 2 * m:
         raise GraphConstructionError(
             f"edge-list {path} declares {m} edges but has {len(body) // 2}")
-    edges = [(int(body[2 * t]), int(body[2 * t + 1])) for t in range(m)]
+    try:
+        edges = np.array(body, dtype=np.int64).reshape(m, 2)
+    except OverflowError:   # a vertex id beyond int64: build_graph names it
+        edges = zip(map(int, body[0::2]), map(int, body[1::2]))
     return build_graph(n, edges)
 
 
@@ -276,14 +276,13 @@ def induced_subgraph(g: Graph, vertices) -> tuple[Graph, np.ndarray]:
     Returns the subgraph and the array of original vertex ids; edge order is
     inherited from the parent graph.
     """
-    old = np.unique(np.asarray(vertices, dtype=np.int64))
+    old = sorted_unique(np.asarray(vertices, dtype=np.int64).reshape(-1))
     if old.size == 0:
         raise ValueError("cannot induce a subgraph on an empty vertex set")
     remap = np.full(g.n, -1, dtype=np.int64)
     remap[old] = np.arange(old.size)
-    edges = [(int(remap[u]), int(remap[v])) for u, v in g.edge_endpoints
-             if remap[u] >= 0 and remap[v] >= 0]
-    return build_graph(max(old.size, 1), edges), old
+    edges = remap[g.edges]
+    return build_graph(old.size, edges[(edges >= 0).all(axis=1)]), old
 
 
 def largest_component(g: Graph) -> tuple[Graph, np.ndarray]:

@@ -82,8 +82,9 @@ class WalkOperator:
 
     `push` and `to_vertices` act on the last axis, so a 2-D array is a
     batch of laws, one per row, and each row comes out bit-identical to a
-    1-D call. Vertex sums run over the head-grouped CSR and observable
-    means over the tail-grouped CSR, except nb `expect`, whose bincount
+    1-D call. Every per-vertex sum runs over the tail-grouped CSR: a push
+    gathers, for each vertex, what arrives over the twins of its out-edges,
+    which are its in-edges. nb `expect` keeps a bincount instead, whose
     order the nb biases depend on. Nothing is renormalised.
     """
 
@@ -101,18 +102,14 @@ class WalkOperator:
             self.states, self.support, self.lift_steps = g.num_half_edges, "edges", 1
             self._fanout = g.degrees_float[g.heads] - 1.0   # choices leaving head(e)
             self._twin = np.arange(g.num_half_edges, dtype=np.int64) ^ 1
+            self._in_edges = g.out_edges ^ 1                # grouped by head
         else:
             self.states, self.support, self.lift_steps = g.n, "vertices", 0
             self._out_heads = g.heads[g.out_edges]
 
-    def _sum_in(self, per_edge: np.ndarray) -> np.ndarray:
-        """Per-vertex sums of values listed in head-grouped (in-CSR) order."""
-        return np.add.reduceat(per_edge, self.g.in_start[:-1], axis=-1)
-
-    def _mean_out(self, per_edge: np.ndarray) -> np.ndarray:
-        """Per-vertex means of values listed in tail-grouped (out-CSR) order."""
-        g = self.g
-        return np.add.reduceat(per_edge, g.out_start[:-1]) / g.degrees_float
+    def _vertex_sums(self, per_edge: np.ndarray) -> np.ndarray:
+        """Per-vertex sums of values listed in tail-grouped (CSR) order."""
+        return np.add.reduceat(per_edge, self.g.out_start[:-1], axis=-1)
 
     def _lazy(self, w: np.ndarray, stepped: np.ndarray) -> np.ndarray:
         if self.kind == "lazy":
@@ -134,21 +131,22 @@ class WalkOperator:
         g = self.g
         if self.kind == "nb":
             z = w / self._fanout
-            s = self._sum_in(z[..., g.in_edges])
+            s = self._vertex_sums(z[..., self._in_edges])
             return s[..., g.tails] - z[..., self._twin]
         z = w / g.degrees_float
-        return self._lazy(w, self._sum_in(z[..., g.tails[g.in_edges]]))
+        return self._lazy(w, self._vertex_sums(z[..., self._out_heads]))
 
     def expect(self, y: np.ndarray) -> np.ndarray:
         g = self.g
         if self.kind == "nb":
             t = np.bincount(g.tails, weights=y, minlength=g.n)
             return (t[g.heads] - y[self._twin]) / self._fanout
-        return self._lazy(y, self._mean_out(y[self._out_heads]))
+        return self._lazy(y, self._vertex_sums(y[self._out_heads])
+                          / g.degrees_float)
 
     def to_vertices(self, w: np.ndarray) -> np.ndarray:
         if self.kind == "nb":
-            return self._sum_in(w[..., self.g.in_edges])
+            return self._vertex_sums(w[..., self._in_edges])
         return w
 
     def observe(self, f: np.ndarray) -> np.ndarray:
@@ -157,7 +155,9 @@ class WalkOperator:
 
     def lifted_mean(self, y: np.ndarray) -> np.ndarray:
         """Per start vertex i, the mean of a state observable under lift(i)."""
-        return self._mean_out(y[self.g.out_edges]) if self.kind == "nb" else y
+        if self.kind == "nb":
+            return self._vertex_sums(y[self.g.out_edges]) / self.g.degrees_float
+        return y
 
 
 def _k_step_dist(g: Graph, start: int, k: int, kind: str,

@@ -214,10 +214,11 @@ def bt_avg_bias_is_zero(g: Graph, k: int) -> bool:
     if g.n == 0 or int(g.degrees.min()) == 0:
         raise KernelError("backtracking walks undefined with isolated vertices")
     L = _lcm_of(g.degrees)
-    adj = [[(j, mult) for j, mult in row] for row in g.adjacency]
-    degs = [int(d) for d in g.degrees]
+    nbrs = g.heads[g.out_edges].tolist()   # neighbours, grouped by vertex
+    start = g.out_start.tolist()
+    degs = g.degrees.tolist()
     v = list(degs)
     for _ in range(k):
-        v = [(L // degs[i]) * sum(mult * v[j] for j, mult in adj[i])
+        v = [(L // degs[i]) * sum(v[j] for j in nbrs[start[i]:start[i + 1]])
              for i in range(g.n)]
     return sum(v) == (L ** k) * sum(degs)

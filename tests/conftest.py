@@ -45,7 +45,5 @@ def fig_b():
 def dense_transition(g):
     """Dense simple-walk transition matrix, for matrix-power oracles."""
     A = np.zeros((g.n, g.n))
-    for u, v in g.edge_endpoints:
-        A[u, v] += 1.0
-        A[v, u] += 1.0
+    np.add.at(A, (g.tails, g.heads), 1.0)
     return A / A.sum(axis=1, keepdims=True)

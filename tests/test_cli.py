@@ -85,6 +85,31 @@ def test_bad_config_exits_2(tmp_path, capsys):
     assert main(["bias", "--config", cfg]) == 2
 
 
+def test_misspelled_scope_exits_2(tmp_path, capsys):
+    cfg = write_config(tmp_path, "cfg.json", experiment="bias",
+                       gen={"model": "configuration", "n": 40,
+                            "degree_pmf": {"3": 1.0}},
+                       kind="nb", k=2, scope="gloabl",
+                       out=str(tmp_path / "out"))
+    assert main(["bias", "--config", cfg]) == 2
+    assert "scope" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_joint_nb_mix10_honours_starts_cap(tmp_path):
+    # the nb chain of a 1500-vertex graph has over 4096 half-edge states, so
+    # the profile behind mix10 must subsample its starts at every size
+    cfg = write_config(tmp_path, "j.json", experiment="joint",
+                       gen={"model": "configuration", "n": 1500,
+                            "degree_pmf": {"3": 0.5, "4": 0.5}},
+                       kind="nb", k="mix10(0.01)", n_grid=[1500],
+                       starts_cap=48, seed=3, out=str(tmp_path / "out"))
+    assert main(["joint", "--config", cfg]) == 0
+    row = (tmp_path / "out" / "joint.csv").read_text().splitlines()[2]
+    n, k_n = row.split(",")[:2]
+    assert n == "1500" and int(k_n) % 10 == 0 and int(k_n) > 0
+
+
 def test_rerun_is_byte_identical(tmp_path):
     cfg = write_config(tmp_path, "cfg.json", experiment="bias",
                        gen={"model": "erdos_renyi", "n": 150, "lam": 4.0},

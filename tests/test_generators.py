@@ -11,16 +11,16 @@ from friendbias import (GenSpec, erase_to_simple, gen_configuration_model,
 def test_er_deterministic():
     a = gen_erdos_renyi(4, 3.0, 123)
     b = gen_erdos_renyi(4, 3.0, 123)
-    assert a.edge_endpoints == b.edge_endpoints
+    assert a.edges.tolist() == b.edges.tolist()
     c = gen_erdos_renyi(4, 3.0, 124)
-    assert a.edge_endpoints != c.edge_endpoints or a.num_edges == c.num_edges
+    assert a.edges.tolist() != c.edges.tolist() or a.num_edges == c.num_edges
 
 
 def test_er_simple():
     for seed in range(10):
         g = gen_erdos_renyi(30, 6.0, seed)
         assert not g.has_self_loops()
-        pairs = [tuple(sorted(e)) for e in g.edge_endpoints]
+        pairs = [tuple(sorted(e)) for e in g.edges.tolist()]
         assert len(pairs) == len(set(pairs))
 
 
@@ -52,7 +52,7 @@ def test_er_parameter_errors():
 def test_cm_single_edge_forced():
     for seed in range(10):
         g = gen_configuration_model([1, 1], seed)
-        assert sorted(g.edge_endpoints[0]) == [0, 1]
+        assert sorted(g.edges[0].tolist()) == [0, 1]
 
 
 def _matching_outcomes_222():
@@ -85,7 +85,7 @@ def test_cm_222_triangle_fraction_matches_enumeration():
     trials = 10000
     for seed in range(trials):
         g = gen_configuration_model([2, 2, 2], seed)
-        edges = sorted(tuple(sorted(e)) for e in g.edge_endpoints)
+        edges = sorted(tuple(sorted(e)) for e in g.edges.tolist())
         hits += edges == [(0, 1), (0, 2), (1, 2)]
     # binomial 3-sigma band around the enumerated value
     sigma = (exact * (1 - exact) / trials) ** 0.5
@@ -133,7 +133,7 @@ def test_genspec_round_trip_and_determinism():
                    seed=99)
     spec2 = GenSpec.from_dict(spec.to_dict())
     g1, g2 = generate(spec), generate(spec2)
-    assert g1.edge_endpoints == g2.edge_endpoints
+    assert g1.edges.tolist() == g2.edges.tolist()
     assert g1.degrees.tolist() == g2.degrees.tolist()
 
 
@@ -161,7 +161,7 @@ def test_erase_to_simple():
     g = gen_configuration_model([4, 4, 2], 3)
     simple, meta = erase_to_simple(g)
     assert not simple.has_self_loops()
-    pairs = [tuple(sorted(e)) for e in simple.edge_endpoints]
+    pairs = [tuple(sorted(e)) for e in simple.edges.tolist()]
     assert len(pairs) == len(set(pairs))
     assert meta["erased"]
 

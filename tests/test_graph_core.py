@@ -7,6 +7,8 @@ from friendbias import (analyze_components, build_graph, drop_isolated,
                         save_edge_list, validate_for_exploration)
 from friendbias.graph_core import GraphConstructionError
 
+from component_bfs import bfs_components
+
 
 def test_path3_degrees(path3):
     assert path3.degrees.tolist() == [1, 2, 1]
@@ -22,9 +24,18 @@ def test_fig_a_degrees(fig_a):
     assert fig_a.degrees.tolist() == [2, 4, 2, 2, 2]
 
 
-def test_out_of_range_edge_rejected():
+def test_out_of_range_edge_rejected(tmp_path):
     with pytest.raises(GraphConstructionError):
         build_graph(3, [(0, 3)])
+    # the message names the first bad edge, also beyond int64
+    with pytest.raises(GraphConstructionError, match=r"edge \(5, 0\)"):
+        build_graph(3, [(0, 1), (5, 0), (2 ** 70, 0)])
+    with pytest.raises(GraphConstructionError, match=r"edge \(-1, 2\)"):
+        build_graph(3, np.array([[0, 1], [-1, 2]]))
+    path = tmp_path / "huge.edges"
+    path.write_text(f"3 2\n0 1\n{2 ** 70} 2\n")
+    with pytest.raises(GraphConstructionError, match=f"edge \\({2 ** 70}, 2\\)"):
+        load_edge_list(path)
     with pytest.raises(GraphConstructionError):
         build_graph(0, [])
 
@@ -38,9 +49,10 @@ def test_half_edge_layout():
 
 def test_adjacency_multiplicities():
     g = build_graph(3, [(0, 1), (0, 1), (1, 2), (2, 2)])
-    assert g.adjacency[0] == [(1, 2)]
-    assert g.adjacency[1] == [(0, 2), (2, 1)]
-    assert g.adjacency[2] == [(1, 1), (2, 1)]
+    pairs, mult = np.unique(np.sort(g.edges, axis=1), axis=0,
+                            return_counts=True)
+    assert pairs.tolist() == [[0, 1], [1, 2], [2, 2]]
+    assert mult.tolist() == [2, 1, 1]
     assert g.degrees.tolist() == [2, 3, 3]
 
 
@@ -56,13 +68,14 @@ def test_handshake_and_twin_involution(data):
     n, edges = data
     g = build_graph(n, edges)
     assert int(g.degrees.sum()) == g.num_half_edges == 2 * g.num_edges
+    assert g.edges.tolist() == [list(e) for e in edges]
     for e in range(g.num_half_edges):
-        assert g.twin(g.twin(e)) == e
-        assert g.heads[e] == g.tails[g.twin(e)]
+        assert (e ^ 1) ^ 1 == e
+        assert g.heads[e] == g.tails[e ^ 1]
     # degrees[i] = sum of multiplicities + 2 * self-loops
-    for i, row in enumerate(g.adjacency):
-        expect = sum(m for j, m in row if j != i) \
-            + 2 * sum(m for j, m in row if j == i)
+    for i in range(n):
+        expect = sum(1 for u, v in edges if i in (u, v) and u != v) \
+            + 2 * sum(1 for u, v in edges if u == v == i)
         assert g.degrees[i] == expect
 
 
@@ -79,6 +92,29 @@ def test_component_flags_invariant_under_relabeling(data, rnd):
         return sorted(zip(info.sizes, info.is_bipartite, info.is_regular,
                           info.is_biregular_bipartite, info.degree_sums))
     assert flags(info1) == flags(info2)
+
+
+multigraphs = st.integers(min_value=1, max_value=24).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                 max_size=30)))
+
+
+@given(multigraphs)
+@settings(max_examples=300)
+def test_analyze_components_matches_bfs(data):
+    # self-loops, parallel edges, isolated vertices and edgeless graphs
+    n, edges = data
+    g = build_graph(n, edges)
+    got, want = analyze_components(g), bfs_components(g)
+    assert got.component_id.dtype == want.component_id.dtype
+    assert got.component_id.tolist() == want.component_id.tolist()
+    assert got.sizes == want.sizes
+    assert got.is_bipartite == want.is_bipartite
+    assert got.is_regular == want.is_regular
+    assert got.is_biregular_bipartite == want.is_biregular_bipartite
+    assert got.degree_sums == want.degree_sums
 
 
 def test_components_cycle4(cycle4):
@@ -145,7 +181,7 @@ def test_edge_list_round_trip(tmp_path, fig_a):
     save_edge_list(fig_a, path)
     g2 = load_edge_list(path)
     assert g2.n == fig_a.n
-    assert g2.edge_endpoints == fig_a.edge_endpoints
+    assert g2.edges.tolist() == fig_a.edges.tolist()
     save_edge_list(g2, tmp_path / "g2.edges")
     assert (tmp_path / "g.edges").read_bytes() == (tmp_path / "g2.edges").read_bytes()
 
@@ -157,9 +193,15 @@ def test_largest_component_and_drop_isolated():
     kept, old = drop_isolated(g)
     assert kept.n == 5 and old.tolist() == [0, 1, 2, 3, 4]
     sub, old = induced_subgraph(g, [3, 4, 5])
-    assert sub.n == 3 and sub.edge_endpoints == [(0, 1)]
+    assert sub.n == 3 and sub.edges.tolist() == [[0, 1]]
     with pytest.raises(ValueError):
         induced_subgraph(g, [])
+    # a tie in size goes to the component with the lowest label, i.e. the
+    # one holding the smallest vertex, whatever the edge order
+    tie = build_graph(6, [(1, 3), (3, 5), (0, 2), (2, 4)])
+    giant, old = largest_component(tie)
+    assert old.tolist() == [0, 2, 4]
+    assert giant.edges.tolist() == [[0, 1], [1, 2]]
 
 
 def test_edgeless_graph_round_trip(tmp_path):

@@ -262,7 +262,7 @@ def test_annealed_er_level1_matches_closed_form():
     for r in range(replicas):
         g = realize(spec, seed_override=mix_seed(2024, r), restrict_giant=True)
         d = g.degrees_float
-        s = sum(d[u] / d[v] + d[v] / d[u] - 2.0 for u, v in g.edge_endpoints)
+        s = sum(d[u] / d[v] + d[v] / d[u] - 2.0 for u, v in g.edges.tolist())
         oracle_means.append(s / g.n)
     assert res.mean_bias == pytest.approx(float(np.mean(oracle_means)), abs=1e-10)
     # the infinite-n value is Var/mean of the Poisson(lam) limit = 1; at
