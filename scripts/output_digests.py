@@ -3,10 +3,11 @@
 
 Covers every experiment; the bt, nb and lazy explorations; nb `mixing` and
 `stationary` on unerased configuration-model multigraphs with self-loops;
-Erdos-Renyi with `restrict_giant`; `erase`; and `graph_file` input. Each run
-writes into a relative `--out` directory under WORKDIR, so the config
-headers in the outputs do not depend on where the script runs. A run's exit
-code and console output go to `<run>/console.txt`.
+Erdos-Renyi with `restrict_giant`; `erase`; `graph_file` input; and the
+`mu_star` rejection path (a small `size_cap`). Each run writes into a
+relative `--out` directory under WORKDIR, so the config headers in the
+outputs do not depend on where the script runs. A run's exit code and
+console output go to `<run>/console.txt`.
 
 Prints `sha256  path` for every file under the run directories, then one
 overall digest of that listing. Two checkouts that print the same overall
@@ -116,6 +117,10 @@ def runs() -> list[tuple[str, dict]]:
         ("limit-mu-star", {"experiment": "limit-mu-star",
                            "pmf": {"1": 0.75, "2": 0.25}, "n_samples": 2000,
                            "seed": 3}),
+        # a cap this small rejects about 750 trees on the way to 2000
+        ("limit-mu-star-capped", {"experiment": "limit-mu-star",
+                                  "pmf": {"1": 0.75, "2": 0.25},
+                                  "n_samples": 2000, "seed": 3, "size_cap": 3}),
         ("noncommute", {"experiment": "noncommute",
                         "pmf": {"1": 0.75, "2": 0.25}, "n_samples": 2000,
                         "seed": 12}),

@@ -14,11 +14,10 @@ from .measures import EmpiricalMeasure, ks_distance, levy_distance, w1_distance
 from .stationary import (MixingProfile, mixing_profile, pi_component,
                          pi_vertex, stationarity_residual, stationary_bias,
                          tv_distance)
-from .tree_limits import (FiniteTree, OffspringLaw, TruncatedTree,
-                          bt_bias_on_finite_tree, exact_mu, nb_bias_on_tree,
-                          sample_finite_gw, sample_mu, sample_mu_star,
-                          sample_truncated_gw, size_bias,
-                          stationary_tree_bias, truncated_poisson)
+from .tree_limits import (GWTree, OffspringLaw, bt_bias_on_finite_tree,
+                          exact_mu, nb_bias_on_tree, sample_gw, sample_mu,
+                          sample_mu_star, size_bias, stationary_tree_bias,
+                          truncated_poisson)
 from .oracle import (WalkSet, bt_avg_bias_is_zero, enumerate_walks,
                      oracle_avg_bias, oracle_k_step, small_graph_corpus)
 

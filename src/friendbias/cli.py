@@ -322,20 +322,21 @@ def _pmf_law(cfg: ExperimentConfig) -> tree_limits.OffspringLaw:
 def run_limit_mu(cfg: ExperimentConfig) -> int:
     p = _pmf_law(cfg)
     m = tree_limits.sample_mu(p, cfg.n_samples, cfg.seed)
+    limit = tree_limits.exact_mu(p)
     out = Path(cfg.out)
     _write_measure(out / "mu_measure.json", m, cfg)
-    _write_measure(out / "mu_exact.json", tree_limits.exact_mu(p), cfg)
+    _write_measure(out / "mu_exact.json", limit, cfg)
     row = {"experiment": "limit-mu", "n": cfg.n_samples, "k": None,
            "kind": cfg.kind, "seed": cfg.seed, "mean": m.mean(),
            "nonneg_fraction": m.mass_at_least(0.0),
-           "levy_to_limit": measures.levy_distance(m, tree_limits.exact_mu(p))}
+           "levy_to_limit": measures.levy_distance(m, limit)}
     _write(out / "summary.csv", _summary_csv(cfg, [row]))
     return 0
 
 
 def run_limit_mu_star(cfg: ExperimentConfig) -> int:
     p = _pmf_law(cfg)
-    if not tree_limits.size_bias(p).m1 < 1.0:
+    if not p.size_biased.m1 < 1.0:
         raise PreconditionError("mu_star needs a subcritical size-biased law")
     m = tree_limits.sample_mu_star(p, cfg.n_samples, cfg.seed,
                                    size_cap=cfg.size_cap)
@@ -428,7 +429,7 @@ def run_joint(cfg: ExperimentConfig) -> int:
 
 def run_noncommute(cfg: ExperimentConfig) -> int:
     p = _pmf_law(cfg)
-    if not tree_limits.size_bias(p).m1 < 1.0:
+    if not p.size_biased.m1 < 1.0:
         raise PreconditionError("noncommute needs a subcritical size-biased law")
     mu = tree_limits.sample_mu(p, cfg.n_samples, generators.mix_seed(cfg.seed, 0))
     mu_star = tree_limits.sample_mu_star(p, cfg.n_samples,

@@ -150,14 +150,16 @@ def levy_distance(a: EmpiricalMeasure, b: EmpiricalMeasure) -> float:
     infimum is found by bisection to 1e-12 resolution.
     """
     _check_pair(a, b)
+    # everything that does not depend on eps is computed once per call
+    fa_at, fb_at = a.cdf(a.values), b.cdf(b.values)
+    cum_a = np.concatenate(([0.0], np.cumsum(a.weights)))
+    cum_b = np.concatenate(([0.0], np.cumsum(b.weights)))
 
     def feasible(eps: float) -> bool:
-        fa_at = a.cdf(a.values)
-        fb_shift = b.cdf(a.values + eps)
+        fb_shift = cum_b[np.searchsorted(b.values, a.values + eps, side="right")]
         if np.any(fa_at > fb_shift + eps + 1e-15):
             return False
-        fb_at = b.cdf(b.values)
-        fa_shift = a.cdf(b.values + eps)
+        fa_shift = cum_a[np.searchsorted(a.values, b.values + eps, side="right")]
         return not np.any(fb_at > fa_shift + eps + 1e-15)
 
     if feasible(0.0):

@@ -3,8 +3,9 @@
 Locally tree-like graph families converge, seen from a uniform vertex, to a
 branching-process tree in which the root's offspring count follows the
 degree law p while every other vertex has offspring distributed as the
-size-biased shift p*, where p*_k = (k+1) p_{k+1} / E[D]. Two limit laws for
-the root bias arise:
+size-biased shift p*, where p*_k = (k+1) p_{k+1} / E[D]; `sample_gw` grows
+such a `GWTree` to a fixed depth or to extinction. Two limit laws for the
+root bias arise:
 
 * mu      -- the law of E[D^2]/E[D] - d_root, reached by non-backtracking
   exploration (and by either exploration after mixing);
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -76,6 +78,11 @@ class OffspringLaw:
     def min_k(self) -> int:
         return int(self.ks[0])
 
+    @cached_property
+    def size_biased(self) -> "OffspringLaw":
+        """p*, derived on first use and kept."""
+        return size_bias(self)
+
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         return rng.choice(self.ks, size=size, p=self.ps)
 
@@ -115,11 +122,12 @@ def truncated_poisson(lam: float, tail_mass: float = 1e-12) -> OffspringLaw:
 
 
 @dataclass
-class TruncatedTree:
-    """Offspring counts of every vertex down to a fixed depth.
+class GWTree:
+    """Offspring counts of a Galton-Watson tree, generation by generation.
 
     levels[l][i] is the offspring count of the i-th vertex (breadth-first)
-    at depth l; level l has sum(levels[l-1]) vertices.
+    at depth l; level l has sum(levels[l-1]) vertices. The tree is complete
+    when its last generation has no offspring.
     """
 
     levels: list
@@ -127,7 +135,7 @@ class TruncatedTree:
     def __post_init__(self):
         self.levels = [np.asarray(lv, dtype=np.int64) for lv in self.levels]
         if not self.levels or self.levels[0].size != 1:
-            raise ValueError("a truncated tree has exactly one root")
+            raise ValueError("a tree has exactly one root")
         for l in range(1, len(self.levels)):
             if self.levels[l].size != int(self.levels[l - 1].sum()):
                 raise ValueError(f"level {l} has {self.levels[l].size} vertices, "
@@ -141,29 +149,52 @@ class TruncatedTree:
     def root_offspring(self) -> int:
         return int(self.levels[0][0])
 
+    @property
+    def num_vertices(self) -> int:
+        return sum(lv.size for lv in self.levels)
 
-def sample_truncated_gw(p: OffspringLaw, depth: int, seed: int,
-                        mode: str = "unimodular") -> TruncatedTree:
-    """Sample offspring counts level by level down to `depth`.
+    def _offspring(self) -> np.ndarray:
+        if self.levels[-1].any():
+            raise ValueError("incomplete tree: the last generation has offspring")
+        return np.concatenate(self.levels)
 
-    unimodular: root ~ p, everyone else i.i.d. ~ p*. iid-root: every vertex
-    (root included) i.i.d. ~ p.
+    def degrees(self) -> np.ndarray:
+        d = self._offspring() + 1
+        d[0] -= 1   # the root has no parent
+        return d
+
+    def to_graph(self):
+        """Parent-child edges with breadth-first vertex ids."""
+        off = self._offspring()
+        parents = np.repeat(np.arange(off.size), off)
+        return build_graph(off.size, np.column_stack(
+            (parents, np.arange(1, off.size))))
+
+
+def sample_gw(p: OffspringLaw, rng: np.random.Generator,
+              depth: int | None = None, size_cap: int = 10 ** 6) -> GWTree | None:
+    """Grow a tree with root ~ p and every other vertex ~ p*.
+
+    Grows `depth` generations, or until extinction when `depth` is None.
+    Returns None before drawing a generation that would push the vertex
+    count past `size_cap` (the caller counts that as a rejection).
     """
-    if depth < 0:
+    if depth is not None and depth < 0:
         raise ValueError("depth must be >= 0")
-    if mode not in ("unimodular", "iid-root"):
-        raise ValueError(f"unknown mode {mode!r}")
-    rest = size_bias(p) if mode == "unimodular" else p
-    rng = np.random.Generator(np.random.PCG64(seed))
     levels = [p.sample(rng, 1)]
-    for _ in range(depth):
-        count = int(levels[-1].sum())
-        levels.append(rest.sample(rng, count) if count
-                      else np.zeros(0, dtype=np.int64))
-    return TruncatedTree(levels=levels)
+    total = 1
+    while ((count := int(levels[-1].sum()))
+           and (depth is None or len(levels) <= depth)):
+        total += count
+        if total > size_cap:
+            return None
+        levels.append(p.size_biased.sample(rng, count))
+    if depth is not None:   # an extinct tree keeps its empty generations
+        levels += [np.zeros(0, dtype=np.int64)] * (depth + 1 - len(levels))
+    return GWTree(levels=levels)
 
 
-def nb_bias_on_tree(t: TruncatedTree, k: int) -> float:
+def nb_bias_on_tree(t: GWTree, k: int) -> float:
     """Exact k-level non-backtracking bias of the root.
 
     On a tree the walk only descends: the probability of reaching a given
@@ -173,71 +204,16 @@ def nb_bias_on_tree(t: TruncatedTree, k: int) -> float:
     """
     if not (1 <= k <= t.depth):
         raise ValueError(f"need 1 <= k <= depth={t.depth}, got {k}")
-    for l in range(k):
-        if t.levels[l].size == 0 or int(t.levels[l].min()) < 1:
-            raise ValueError(f"walk undefined: vertex with no offspring at depth {l}")
     prob = np.array([1.0])
-    for l in range(k):
-        counts = t.levels[l]
+    for l, counts in enumerate(t.levels[:k]):
+        if counts.size == 0 or int(counts.min()) < 1:
+            raise ValueError(f"walk undefined: vertex with no offspring at depth {l}")
         prob = np.repeat(prob / counts, counts)
     return float(np.dot(prob, t.levels[k] + 1.0) - t.root_offspring)
 
 
-@dataclass
-class FiniteTree:
-    """A whole tree, stored as breadth-first offspring counts."""
-
-    offspring: np.ndarray
-
-    def __post_init__(self):
-        self.offspring = np.asarray(self.offspring, dtype=np.int64)
-        if self.offspring.size == 0:
-            raise ValueError("empty tree")
-
-    @property
-    def num_vertices(self) -> int:
-        return int(self.offspring.size)
-
-    def degrees(self) -> np.ndarray:
-        d = self.offspring + 1
-        d[0] = self.offspring[0]
-        return d
-
-    def to_graph(self):
-        """Parent-child edges with breadth-first vertex ids."""
-        edges = []
-        child = 1
-        for parent, c in enumerate(self.offspring):
-            for _ in range(int(c)):
-                edges.append((parent, child))
-                child += 1
-        return build_graph(self.num_vertices, edges)
-
-
-def sample_finite_gw(p: OffspringLaw, rng: np.random.Generator,
-                     size_cap: int = 10 ** 6) -> FiniteTree | None:
-    """One tree grown to extinction: root ~ p, other vertices ~ p*.
-
-    Returns None when the vertex count would exceed `size_cap` (the caller
-    counts that as a rejection).
-    """
-    pstar = size_bias(p)
-    root = int(p.sample(rng, 1)[0])
-    chunks = [np.array([root], dtype=np.int64)]
-    total = 1
-    frontier = root
-    while frontier:
-        total += frontier
-        if total > size_cap:
-            return None
-        draws = pstar.sample(rng, frontier)
-        chunks.append(draws)
-        frontier = int(draws.sum())
-    return FiniteTree(offspring=np.concatenate(chunks))
-
-
-def stationary_tree_bias(t: FiniteTree) -> float:
-    """Closed-form equilibrium bias of the root on a finite tree:
+def stationary_tree_bias(t: GWTree) -> float:
+    """Closed-form equilibrium bias of the root on a complete tree:
     sum(deg^2)/sum(deg) - d_root, with the one-vertex tree mapped to 0
     (empty ratio resolved as 0)."""
     d = t.degrees().astype(np.float64)
@@ -246,8 +222,8 @@ def stationary_tree_bias(t: FiniteTree) -> float:
     return ratio - float(d[0])
 
 
-def bt_bias_on_finite_tree(t: FiniteTree, k: int, delta: float = 0.5) -> float:
-    """Root bias after k lazy steps on the finite tree.
+def bt_bias_on_finite_tree(t: GWTree, k: int, delta: float = 0.5) -> float:
+    """Root bias after k lazy steps on a complete tree.
 
     Trees with an edge are bipartite, so the plain walk oscillates and has
     no pointwise k -> infinity limit; the lazy walk shares the same
@@ -255,11 +231,11 @@ def bt_bias_on_finite_tree(t: FiniteTree, k: int, delta: float = 0.5) -> float:
     """
     if not (0.0 < delta < 1.0):
         raise ValueError(f"laziness must lie in (0, 1), got {delta}")
-    if t.num_vertices == 1:
+    g = t.to_graph()
+    if g.n == 1:
         return 0.0
-    op = kernels.WalkOperator(t.to_graph(), "lazy", delta)
-    degf = op.g.degrees_float
-    v = degf
+    op = kernels.WalkOperator(g, "lazy", delta)
+    v = degf = g.degrees_float
     for _ in range(k):
         v = op.expect(v)
     return float(v[0] - degf[0])
@@ -301,7 +277,7 @@ def sample_mu_star(p: OffspringLaw, n_samples: int, seed: int,
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    mean_star = size_bias(p).m1
+    mean_star = p.size_biased.m1
     if not mean_star < 1.0:
         raise ValueError(f"mu_star needs a subcritical size-biased law; "
                          f"E[p*] = {mean_star!r} >= 1")
@@ -309,13 +285,11 @@ def sample_mu_star(p: OffspringLaw, n_samples: int, seed: int,
     vals = np.empty(n_samples)
     rejections = 0
     for i in range(n_samples):
-        tree = sample_finite_gw(p, rng, size_cap=size_cap)
-        while tree is None:
+        while (tree := sample_gw(p, rng, size_cap=size_cap)) is None:
             rejections += 1
             if rejections > 1000 + n_samples:
                 raise RuntimeError("mu_star sampling rejected too many trees; "
                                    "size cap too small for this law")
-            tree = sample_finite_gw(p, rng, size_cap=size_cap)
         vals[i] = stationary_tree_bias(tree)
     return measures.EmpiricalMeasure.from_values(
         vals, meta={"law": "mu_star", "pmf": p.to_dict(),

@@ -1,19 +1,23 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from friendbias import (FiniteTree, OffspringLaw, TruncatedTree,
-                        bt_bias_on_finite_tree, exact_mu, mix_seed,
-                        nb_bias_on_tree, sample_finite_gw, sample_mu,
-                        sample_mu_star, sample_truncated_gw, size_bias,
+from friendbias import (GWTree, OffspringLaw, bt_bias_on_finite_tree,
+                        exact_mu, mix_seed, nb_bias_on_tree, sample_gw,
+                        sample_mu, sample_mu_star, size_bias,
                         stationary_tree_bias, truncated_poisson)
 from friendbias.measures import EmpiricalMeasure, levy_distance
 
 
 def law(d):
     return OffspringLaw.from_dict(d)
+
+
+def rng(seed):
+    return np.random.Generator(np.random.PCG64(seed))
 
 
 def test_size_bias_regular():
@@ -79,21 +83,22 @@ def test_truncated_poisson_metadata():
     assert p.m1 == pytest.approx(4.0, abs=1e-9)
 
 
+def test_size_biased_is_derived_once_per_law():
+    p = law({2: 0.5, 4: 0.5})
+    assert p.size_biased is p.size_biased
+    assert p.size_biased.to_dict() == size_bias(p).to_dict()
+
+
 def test_sample_gw_regular_tree():
-    t = sample_truncated_gw(law({3: 1.0}), 2, seed=0)
+    t = sample_gw(law({3: 1.0}), rng(0), 2)
     assert t.root_offspring == 3
     assert t.levels[1].tolist() == [2, 2, 2]     # size-biased shift of delta_3
     assert t.levels[2].size == 6
 
 
-def test_sample_gw_iid_root_path():
-    t = sample_truncated_gw(law({1: 1.0}), 5, seed=0, mode="iid-root")
-    assert all(lv.tolist() == [1] for lv in t.levels)
-
-
 def test_sample_gw_root_law():
     p = law({2: 0.5, 4: 0.5})
-    roots = np.array([sample_truncated_gw(p, 1, mix_seed(3, i)).root_offspring
+    roots = np.array([sample_gw(p, rng(mix_seed(3, i)), 1).root_offspring
                       for i in range(100_000)])
     frac2 = float(np.mean(roots == 2))
     assert abs(frac2 - 0.5) < 0.01
@@ -101,25 +106,36 @@ def test_sample_gw_root_law():
 
 def test_truncated_tree_invariants():
     with pytest.raises(ValueError):
-        TruncatedTree(levels=[[2], [1]])
+        GWTree(levels=[[2], [1]])
     with pytest.raises(ValueError):
-        TruncatedTree(levels=[[1, 1]])
+        GWTree(levels=[[1, 1]])
+
+
+def test_malformed_or_unfinished_tree_is_rejected():
+    with pytest.raises(ValueError, match="level 1 has 1 vertices, expected 2"):
+        GWTree(levels=[[2], [1]])
+    # well-formed levels whose last generation still has children
+    for t in (GWTree(levels=[[2]]), GWTree(levels=[[1], [1]])):
+        for call in (stationary_tree_bias, GWTree.degrees, GWTree.to_graph,
+                     lambda t: bt_bias_on_finite_tree(t, 5)):
+            with pytest.raises(ValueError, match="incomplete tree"):
+                call(t)
 
 
 def test_nb_bias_regular_tree_is_zero():
-    t = sample_truncated_gw(law({3: 1.0}), 5, seed=9)
+    t = sample_gw(law({3: 1.0}), rng(9), 5)
     for k in range(1, 6):
         assert nb_bias_on_tree(t, k) == 0.0
 
 
 def test_nb_bias_depth1_by_hand():
-    t = TruncatedTree(levels=[[2], [1, 3]])
+    t = GWTree(levels=[[2], [1, 3]])
     # 1/2 * (1+1) + 1/2 * (3+1) - 2 = 1
     assert nb_bias_on_tree(t, 1) == pytest.approx(1.0)
 
 
 def test_nb_bias_requires_offspring():
-    t = TruncatedTree(levels=[[2], [0, 2], [1, 1]])
+    t = GWTree(levels=[[2], [0, 2], [1, 1]])
     with pytest.raises(ValueError):
         nb_bias_on_tree(t, 2)
     assert nb_bias_on_tree(t, 1) == pytest.approx(0.5 * 1 + 0.5 * 3 - 2)
@@ -131,7 +147,7 @@ def test_nb_bias_monte_carlo_mean():
     n = 20_000
     vals = np.empty(n)
     for i in range(n):
-        t = sample_truncated_gw(p, 4, mix_seed(910, i))
+        t = sample_gw(p, rng(mix_seed(910, i)), 4)
         vals[i] = nb_bias_on_tree(t, 4)
     se = vals.std(ddof=1) / math.sqrt(n)
     assert abs(vals.mean() - 1 / 3) <= 3 * se
@@ -145,7 +161,7 @@ def test_short_level_law_approaches_mu():
     ks = (2, 4, 6, 8)
     vals = {k: np.empty(n) for k in ks}
     for i in range(n):
-        t = sample_truncated_gw(p, 8, mix_seed(909, i))
+        t = sample_gw(p, rng(mix_seed(909, i)), 8)
         for k in ks:
             vals[k][i] = nb_bias_on_tree(t, k)
     dists = [levy_distance(EmpiricalMeasure.from_values(vals[k]), limit)
@@ -155,21 +171,35 @@ def test_short_level_law_approaches_mu():
 
 
 def test_finite_tree_shapes():
-    single = FiniteTree(offspring=np.array([0]))
+    single = GWTree(levels=[[0]])
     assert stationary_tree_bias(single) == 0.0
     assert bt_bias_on_finite_tree(single, 10) == 0.0
-    k2 = FiniteTree(offspring=np.array([1, 0]))
+    k2 = GWTree(levels=[[1], [0]])
     assert stationary_tree_bias(k2) == pytest.approx(0.0)
-    path3_from_end = FiniteTree(offspring=np.array([1, 1, 0]))
+    path3_from_end = GWTree(levels=[[1], [1], [0]])
     assert stationary_tree_bias(path3_from_end) == pytest.approx(0.5)
-    star_center = FiniteTree(offspring=np.array([3, 0, 0, 0]))
+    star_center = GWTree(levels=[[3], [0, 0, 0]])
     assert stationary_tree_bias(star_center) == pytest.approx(-1.0)
 
 
+def test_to_graph_matches_parent_child_loop():
+    t = GWTree(levels=[[2], [2, 0], [1, 3], [0, 0, 1, 0], [0]])
+    offspring = np.concatenate(t.levels)
+    edges, child = [], 1
+    for parent, c in enumerate(offspring.tolist()):
+        for _ in range(c):
+            edges.append((parent, child))
+            child += 1
+    g = t.to_graph()
+    assert g.n == t.num_vertices == 10
+    assert g.edges.tolist() == [list(e) for e in edges]
+    assert g.degrees.tolist() == t.degrees().tolist()
+
+
 def test_lazy_walk_reaches_tree_equilibrium():
-    trees = [FiniteTree(offspring=np.array([1, 1, 0])),
-             FiniteTree(offspring=np.array([3, 0, 0, 0])),
-             FiniteTree(offspring=np.array([2, 2, 0, 1, 0, 0]))]
+    trees = [GWTree(levels=[[1], [1], [0]]),
+             GWTree(levels=[[3], [0, 0, 0]]),
+             GWTree(levels=[[2], [2, 0], [1, 0], [0]])]
     for t in trees:
         want = stationary_tree_bias(t)
         got = bt_bias_on_finite_tree(t, 400, delta=0.5)
@@ -231,9 +261,43 @@ def test_mu_means_differ_for_noncommuting_law():
 
 
 def test_finite_gw_tree_sizes():
-    rng = np.random.Generator(np.random.PCG64(5))
+    r = rng(5)
     p = law({1: 0.75, 2: 0.25})
-    sizes = [sample_finite_gw(p, rng).num_vertices for _ in range(2000)]
+    sizes = [sample_gw(p, r).num_vertices for _ in range(2000)]
     # E[size] = 1 + E[D] / (1 - E[p*]) = 1 + 1.25 / 0.6
     expect = 1 + 1.25 / 0.6
     assert abs(np.mean(sizes) - expect) < 0.25
+
+
+# sha256 of the breadth-first offspring counts of each tree (None marked),
+# recorded from the two samplers that `sample_gw` replaced: depth-4 trees for
+# seeds 0..49, and 500 consecutive draws grown to extinction under
+# size_cap=5 from one generator seeded 0
+PINNED_DRAWS = {
+    (("3", 0.5), ("4", 0.5)): (
+        "df988852041ddd1b7e55f5e16f3c3c225eda7187b510bd51d031fc3b8c20e70b",
+        "55c68872ce90afba792509716813614923037703708b3908ce5606376b38c3f7"),
+    (("1", 0.75), ("2", 0.25)): (
+        "fe04b944311cad1ca1ad62d265ce2855700cecda9ec18adcaa68dc33653f4cd4",
+        "caceb2838aa35d1bd543ab1fd67c5787ae8c9407b2ac3aba69666c1fc8d6b60b"),
+    (("0", 0.3), ("2", 0.7)): (
+        "a6dc05e136e195272da2211365960ca95f39b2f126a48dcf3b1a724571e99a51",
+        "4f49632add116a249a1a577f6a34aeebcd4387faaea3f4e5f277fc546d4dd184"),
+}
+
+
+def _tree_digest(trees):
+    h = hashlib.sha256()
+    for t in trees:
+        h.update(b"None;" if t is None else
+                 np.concatenate(t.levels).astype("<i8").tobytes() + b";")
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("pmf", sorted(PINNED_DRAWS))
+def test_sample_gw_pins_draw_order(pmf):
+    p = law(dict(pmf))
+    truncated = _tree_digest(sample_gw(p, rng(s), 4) for s in range(50))
+    r = rng(0)
+    capped = _tree_digest(sample_gw(p, r, size_cap=5) for _ in range(500))
+    assert (truncated, capped) == PINNED_DRAWS[pmf]
