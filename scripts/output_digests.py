@@ -3,8 +3,10 @@
 
 Covers every experiment; the bt, nb and lazy explorations; nb `mixing` and
 `stationary` on unerased configuration-model multigraphs with self-loops;
-Erdos-Renyi with `restrict_giant`; `erase`; `graph_file` input; and the
-`mu_star` rejection path (a small `size_cap`). Each run writes into a
+`mixing`, `bias` and `mix10` `joint` on a degree law with degrees above 8,
+whose per-vertex sums take np.add.reduceat's pairwise order; Erdos-Renyi
+with `restrict_giant`; `erase`; `graph_file` input; and the `mu_star`
+rejection path (a small `size_cap`). Each run writes into a
 relative `--out` directory under WORKDIR, so the config headers in the
 outputs do not depend on where the script runs. A run's exit code and
 console output go to `<run>/console.txt`.
@@ -32,6 +34,7 @@ from friendbias.cli import main as cli_main
 
 PMF34 = {"3": 0.5, "4": 0.5}
 PMF234 = {"2": 0.3, "3": 0.4, "4": 0.3}
+PMF_WIDE = {"2": 0.3, "3": 0.3, "9": 0.2, "14": 0.2}
 
 
 def _cm(n, pmf=PMF34, seed=0):
@@ -83,6 +86,22 @@ def runs() -> list[tuple[str, dict]]:
         ("multi-joint-nb", dict(multi, experiment="joint", n_grid=[40, 80],
                                 k="log_n(1)", replicas=2)),
     ]
+    for kind in ("bt", "nb", "lazy"):
+        simple = kind != "nb"
+        wide = {"kind": kind, "erase": simple, "restrict_giant": simple,
+                "seed": 13}
+        out += [
+            (f"wide-mixing-{kind}", dict(wide, experiment="mixing",
+                                         gen=_cm(80, PMF_WIDE), k_max=30)),
+            (f"wide-bias-{kind}", dict(wide, experiment="bias",
+                                       gen=_cm(80, PMF_WIDE), k=5,
+                                       replicas=2)),
+            (f"wide-joint-mix10-{kind}", dict(wide, experiment="joint",
+                                              gen=_cm(80, PMF_WIDE),
+                                              n_grid=[80, 160],
+                                              k="mix10(0.01)", k_max=80,
+                                              starts_cap=40)),
+        ]
     er = {"gen": _er(300, 3.0), "restrict_giant": True, "seed": 5}
     out += [
         ("er-giant-bias-bt", dict(er, experiment="bias", kind="bt", k=2,

@@ -11,9 +11,9 @@ from .generators import (GenSpec, erase_to_simple, gen_configuration_model,
 from .kernels import (DistVector, KernelError, WalkOperator, annealed_bias,
                       bias_all, bias_k, bias_profile)
 from .measures import EmpiricalMeasure, ks_distance, levy_distance, w1_distance
-from .stationary import (MixingProfile, mixing_profile, pi_component,
-                         pi_vertex, stationarity_residual, stationary_bias,
-                         tv_distance)
+from .stationary import (MixingProfile, mixing_profile, mixing_time,
+                         pi_component, pi_vertex, stationarity_residual,
+                         stationary_bias, tv_distance)
 from .tree_limits import (GWTree, OffspringLaw, bt_bias_on_finite_tree,
                           exact_mu, nb_bias_on_tree, sample_gw, sample_mu,
                           sample_mu_star, size_bias, stationary_tree_bias,

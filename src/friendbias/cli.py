@@ -23,8 +23,7 @@ import numpy as np
 from . import generators, kernels, measures, oracle, stationary, tree_limits
 from .graph_core import (ExplorationPreconditionError, Graph, load_edge_list,
                          save_edge_list, validate_for_exploration)
-from .kernels import KernelError
-from .oracle import SizeGuardError
+from .kernels import KernelError, SizeGuardError
 
 EXPERIMENTS = ("generate", "bias", "stationary", "mixing", "limit-mu",
                "limit-mu-star", "sweep", "joint", "noncommute", "oracle-check")
@@ -126,10 +125,8 @@ def schedule_k(cfg: ExperimentConfig, n: int, n_index: int, graph=None) -> int:
     name, value = parse_schedule(k)
     if name == "log_n":
         return max(1, math.ceil(value * math.log(n)))
-    profile = stationary.mixing_profile(
-        graph, cfg.kind, cfg.k_max, eps_list=(value,), delta=cfg.delta,
-        starts_cap=cfg.starts_cap)
-    crossing = profile.first_crossing(value)
+    crossing = stationary.mixing_time(graph, cfg.kind, value, cfg.k_max,
+                                      delta=cfg.delta, starts_cap=cfg.starts_cap)
     if crossing is None:
         raise PreconditionError(
             f"mixing schedule unresolved: TV never reached {value} within "

@@ -69,6 +69,61 @@ class DistVector:
         return cls(kind, w / w.sum())
 
 
+class SizeGuardError(ValueError):
+    """An instance exceeds a fixed size guard (oracle enumeration, dense
+    mixing batches)."""
+
+
+# np.add.reduceat adds a segment of up to this many terms in the order
+# x0 + (((x1 + x2) + x3) + ...); longer segments switch to pairwise summation
+SEQUENTIAL_TERMS = 8
+
+
+class _VertexSums:
+    """Per-vertex sums of x[..., via[j]] over the CSR segments of
+    `out_start`, bit-identical to
+    np.add.reduceat(x[..., via], out_start[:-1], axis=-1).
+
+    Vertices with at most SEQUENTIAL_TERMS terms are sorted by degree,
+    descending, so column j, the j-th term of every such vertex of degree
+    > j, covers a prefix of them. A call gathers each column once, adds
+    columns 1.. in order into one slice, adds column 0 and scatters once;
+    that is reduceat's float order. Longer segments keep reduceat. Every
+    segment must be non-empty.
+    """
+
+    def __init__(self, out_start: np.ndarray, via: np.ndarray):
+        deg = np.diff(out_start)
+        via = via.astype(np.int32 if int(via.max(initial=0)) < 2 ** 31
+                         else np.int64)
+        self.n = deg.size
+        self.order = np.concatenate([np.flatnonzero(deg == d)
+                                     for d in range(SEQUENTIAL_TERMS, 0, -1)])
+        first, sizes = out_start[self.order], deg[self.order]
+        self.cols = [via[first[:np.count_nonzero(sizes > j)] + j]
+                     for j in range(int(sizes.max(initial=1)))]
+        self.long = np.flatnonzero(deg > SEQUENTIAL_TERMS)
+        lengths = deg[self.long]
+        self.long_start = np.cumsum(lengths) - lengths
+        offset = np.repeat(out_start[self.long] - self.long_start, lengths)
+        self.long_via = via[offset + np.arange(offset.size)]
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        head = x[..., self.cols[0]]
+        if len(self.cols) > 1:
+            rest = x[..., self.cols[1]]
+            for col in self.cols[2:]:
+                rest[..., :col.size] += x[..., col]
+            head[..., :rest.shape[-1]] += rest
+            del rest    # `out` can take its memory: a lower peak on batches
+        out = np.empty(x.shape[:-1] + (self.n,))
+        out[..., self.order] = head
+        if self.long.size:
+            out[..., self.long] = np.add.reduceat(
+                x[..., self.long_via], self.long_start, axis=-1)
+        return out
+
+
 class WalkOperator:
     """One step of an exploration as a linear map on its states.
 
@@ -84,8 +139,12 @@ class WalkOperator:
     batch of laws, one per row, and each row comes out bit-identical to a
     1-D call. Every per-vertex sum runs over the tail-grouped CSR: a push
     gathers, for each vertex, what arrives over the twins of its out-edges,
-    which are its in-edges. nb `expect` keeps a bincount instead, whose
-    order the nb biases depend on. Nothing is renormalised.
+    which are its in-edges (`out_edges ^ 1` for nb, their tails
+    `heads[out_edges]` for bt/lazy). `_VertexSums` holds that gather in a
+    degree-ordered column layout and adds in np.add.reduceat's float order,
+    so every sum is bit-identical to a reduceat over the CSR. nb `expect`
+    keeps a bincount instead, whose order the nb biases depend on. Nothing
+    is renormalised.
     """
 
     def __init__(self, g: Graph, kind: str, delta: float = 0.5):
@@ -102,14 +161,11 @@ class WalkOperator:
             self.states, self.support, self.lift_steps = g.num_half_edges, "edges", 1
             self._fanout = g.degrees_float[g.heads] - 1.0   # choices leaving head(e)
             self._twin = np.arange(g.num_half_edges, dtype=np.int64) ^ 1
-            self._in_edges = g.out_edges ^ 1                # grouped by head
+            in_states = g.out_edges ^ 1                     # grouped by head
         else:
             self.states, self.support, self.lift_steps = g.n, "vertices", 0
-            self._out_heads = g.heads[g.out_edges]
-
-    def _vertex_sums(self, per_edge: np.ndarray) -> np.ndarray:
-        """Per-vertex sums of values listed in tail-grouped (CSR) order."""
-        return np.add.reduceat(per_edge, self.g.out_start[:-1], axis=-1)
+            in_states = g.heads[g.out_edges]
+        self._vertex_sums = _VertexSums(g.out_start, in_states)
 
     def _lazy(self, w: np.ndarray, stepped: np.ndarray) -> np.ndarray:
         if self.kind == "lazy":
@@ -131,22 +187,21 @@ class WalkOperator:
         g = self.g
         if self.kind == "nb":
             z = w / self._fanout
-            s = self._vertex_sums(z[..., self._in_edges])
+            s = self._vertex_sums(z)
             return s[..., g.tails] - z[..., self._twin]
         z = w / g.degrees_float
-        return self._lazy(w, self._vertex_sums(z[..., self._out_heads]))
+        return self._lazy(w, self._vertex_sums(z))
 
     def expect(self, y: np.ndarray) -> np.ndarray:
         g = self.g
         if self.kind == "nb":
             t = np.bincount(g.tails, weights=y, minlength=g.n)
             return (t[g.heads] - y[self._twin]) / self._fanout
-        return self._lazy(y, self._vertex_sums(y[self._out_heads])
-                          / g.degrees_float)
+        return self._lazy(y, self._vertex_sums(y) / g.degrees_float)
 
     def to_vertices(self, w: np.ndarray) -> np.ndarray:
         if self.kind == "nb":
-            return self._vertex_sums(w[..., self._in_edges])
+            return self._vertex_sums(w)
         return w
 
     def observe(self, f: np.ndarray) -> np.ndarray:
@@ -156,7 +211,8 @@ class WalkOperator:
     def lifted_mean(self, y: np.ndarray) -> np.ndarray:
         """Per start vertex i, the mean of a state observable under lift(i)."""
         if self.kind == "nb":
-            return self._vertex_sums(y[self.g.out_edges]) / self.g.degrees_float
+            # y[twin] read over the in-edges is y over the out-edges
+            return self._vertex_sums(y[self._twin]) / self.g.degrees_float
         return y
 
 

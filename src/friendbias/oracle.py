@@ -20,14 +20,10 @@ from math import gcd
 import numpy as np
 
 from .graph_core import Graph
-from .kernels import DistVector, KernelError
+from .kernels import DistVector, KernelError, SizeGuardError
 
 MAX_ORACLE_VERTICES = 10
 MAX_ORACLE_K = 6
-
-
-class SizeGuardError(ValueError):
-    """The instance exceeds the oracle's exhaustive-enumeration guard."""
 
 
 @dataclass

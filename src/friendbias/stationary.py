@@ -20,13 +20,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graph_core import Graph, analyze_components
-from .kernels import DistVector, KernelError, WalkOperator
+from .kernels import DistVector, KernelError, SizeGuardError, WalkOperator
 from .measures import EmpiricalMeasure
 
 DEFAULT_EPS = (0.25, 0.01, 1e-4)
 
 # beyond this many exact start states a subsample must be requested
 MAX_EXACT_STATES = 4096
+# largest dense starts x states float64 batch a mixing computation allocates;
+# each level makes a few temporaries of the same size
+MAX_DENSE_BYTES = 1 << 28
 
 
 def pi_vertex(g: Graph) -> DistVector:
@@ -146,6 +149,44 @@ def _worst_tv(W: np.ndarray, pi: np.ndarray) -> float:
     return 0.5 * float(np.abs(W - pi).sum(axis=1).max())
 
 
+def _tv_levels(op: WalkOperator, k_max: int, starts_cap, vertex_curve: bool):
+    """Yield (k, D_k, vertex D_k or None) for k = 1..k_max: the worst-case
+    TV distance to stationarity over the picked start states, and for nb
+    with `vertex_curve` the same over start vertices after projection.
+
+    The dense batches are refused before allocation when they would exceed
+    MAX_DENSE_BYTES.
+    """
+    g = op.g
+    starts = _pick_starts(op.states, starts_cap)
+    v_starts = (_pick_starts(g.n, starts_cap)
+                if op.kind == "nb" and vertex_curve else np.empty(0, np.int64))
+    dense = (starts.size + v_starts.size) * op.states * 8
+    if dense > MAX_DENSE_BYTES:
+        raise SizeGuardError(
+            f"mixing batch of {starts.size + v_starts.size} starts x "
+            f"{op.states} states needs {dense} bytes, over the "
+            f"{MAX_DENSE_BYTES}-byte limit; lower starts_cap")
+    pi = _pi_states(op).weights
+    W = np.zeros((starts.size, op.states))
+    W[np.arange(starts.size), starts] = 1.0
+    V = None
+    if v_starts.size:
+        # the k-step vertex law projects the lift after k-1 edge pushes
+        V = np.zeros((v_starts.size, op.states))
+        for row, s in enumerate(v_starts):
+            V[row] = op.lift(int(s))
+        pi_v = pi_vertex(g).weights
+    for k in range(1, k_max + 1):
+        W = op.push(W)
+        d_vertex = None
+        if V is not None:
+            if k > 1:
+                V = op.push(V)
+            d_vertex = _worst_tv(op.to_vertices(V), pi_v)
+        yield k, _worst_tv(W, pi), d_vertex
+
+
 def mixing_profile(g: Graph, kind: str, k_max: int,
                    eps_list=DEFAULT_EPS, delta: float = 0.5,
                    starts_cap=None) -> MixingProfile:
@@ -160,28 +201,10 @@ def mixing_profile(g: Graph, kind: str, k_max: int,
     """
     op = WalkOperator(g, kind, delta)
     eps_list = tuple(eps_list)
-    pi = _pi_states(op).weights
-    starts = _pick_starts(op.states, starts_cap)
-    W = np.zeros((starts.size, op.states))
-    W[np.arange(starts.size), starts] = 1.0
-    V = D_vertex = None
-    if kind == "nb":
-        # the k-step vertex law projects the lift after k-1 edge pushes
-        v_starts = _pick_starts(g.n, starts_cap)
-        V = np.zeros((v_starts.size, op.states))
-        for row, s in enumerate(v_starts):
-            V[row] = op.lift(int(s))
-        pi_v = pi_vertex(g).weights
-        D_vertex = []
-    ks = list(range(1, k_max + 1))
-    Ds: list[float] = []
-    for k in ks:
-        W = op.push(W)
-        Ds.append(_worst_tv(W, pi))
-        if V is not None:
-            D_vertex.append(_worst_tv(op.to_vertices(V), pi_v))
-            if k < k_max:
-                V = op.push(V)
+    levels = list(_tv_levels(op, k_max, starts_cap, vertex_curve=True))
+    ks = [k for k, _, _ in levels]
+    Ds = [dv for _, dv, _ in levels]
+    D_vertex = [dv for _, _, dv in levels] if kind == "nb" else None
 
     crossings = {}
     for eps in eps_list:
@@ -191,6 +214,22 @@ def mixing_profile(g: Graph, kind: str, k_max: int,
     return MixingProfile(kind=kind, k_values=ks, D_values=Ds,
                          eps_list=eps_list, crossings=crossings,
                          flagged_nonergodic=flagged, states=op.states,
-                         starts_used=int(starts.size),
+                         starts_used=int(_pick_starts(op.states,
+                                                      starts_cap).size),
                          delta=delta if kind == "lazy" else None,
                          D_vertex_values=D_vertex)
+
+
+def mixing_time(g: Graph, kind: str, eps: float, k_max: int,
+                delta: float = 0.5, starts_cap=None) -> int | None:
+    """The first k in 1..k_max where the worst-case TV distance to
+    stationarity is at most eps, or None; it stops stepping there.
+
+    Equals mixing_profile(g, kind, k_max, (eps,), delta,
+    starts_cap).first_crossing(eps), without the nb vertex curve.
+    """
+    op = WalkOperator(g, kind, delta)
+    for k, dv, _ in _tv_levels(op, k_max, starts_cap, vertex_curve=False):
+        if dv <= eps:
+            return k
+    return None

@@ -24,7 +24,7 @@ from friendbias.kernels import _k_step_dist
 from friendbias.measures import EmpiricalMeasure, levy_distance
 from friendbias.oracle import (bt_avg_bias_is_zero, oracle_avg_bias_exact,
                                oracle_k_step, small_graph_corpus)
-from friendbias.stationary import (mixing_profile, pi_vertex,
+from friendbias.stationary import (mixing_time, pi_vertex,
                                    stationarity_residual, stationary_bias)
 from friendbias.tree_limits import OffspringLaw, exact_mu, sample_mu, sample_mu_star
 
@@ -200,8 +200,7 @@ def test_ac04_stationarity_and_long_level():
             np.dot(pi.weights, ratio - g.degrees_float))))
         for kind in kinds:
             worst_resid = max(worst_resid, stationarity_residual(g, kind))
-            prof = mixing_profile(g, kind, 4000, eps_list=(1e-8,))
-            k_star = prof.first_crossing(1e-8)
+            k_star = mixing_time(g, kind, 1e-8, 4000)
             assert k_star is not None, (kind, g.n)
             crossings_found += 1
             mu = bias_all(g, k_star, kind)
@@ -261,8 +260,7 @@ def test_ac06_post_mixing_regime():
     crossing_holder = {}
 
     def k_fn(g):
-        prof = mixing_profile(g, "bt", 300, eps_list=(1e-4,), starts_cap=48)
-        crossing = prof.first_crossing(1e-4)
+        crossing = mixing_time(g, "bt", 1e-4, 300, starts_cap=48)
         assert crossing is not None
         crossing_holder["k"] = crossing
         return 10 * crossing

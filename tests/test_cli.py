@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from friendbias import build_graph, save_edge_list
 from friendbias.cli import ExperimentConfig, main, parse_schedule, schedule_k
 from friendbias.measures import EmpiricalMeasure
+from friendbias.stationary import MAX_DENSE_BYTES
 
 
 def write_config(tmp_path, name, **kwargs):
@@ -108,6 +110,38 @@ def test_joint_nb_mix10_honours_starts_cap(tmp_path):
     row = (tmp_path / "out" / "joint.csv").read_text().splitlines()[2]
     n, k_n = row.split(",")[:2]
     assert n == "1500" and int(k_n) % 10 == 0 and int(k_n) > 0
+
+
+def test_mix10_without_crossing_exits_3(tmp_path, capsys):
+    cfg = write_config(tmp_path, "j.json", experiment="joint",
+                       gen={"model": "configuration", "n": 60,
+                            "degree_pmf": {"3": 0.5, "4": 0.5}},
+                       kind="bt", erase=True, k="mix10(1e-12)", k_max=3,
+                       n_grid=[60], seed=3, out=str(tmp_path / "out"))
+    assert main(["joint", "--config", cfg]) == 3
+    assert "never reached 1e-12 within k_max=3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("experiment, extra, starts", [
+    ("mixing", {}, 4000),       # the projected vertex curve adds 2000 rows
+    ("joint", {"k": "mix10(0.01)", "n_grid": [8000]}, 2000),
+])
+def test_over_budget_mixing_batch_exits_4(tmp_path, capsys, experiment, extra,
+                                          starts):
+    # 2000 starts x the 2m half-edge states of the nb chain already need
+    # about 450 MB; the batch is refused before it is allocated
+    cfg = write_config(tmp_path, "m.json", experiment=experiment,
+                       gen={"model": "configuration", "n": 8000,
+                            "degree_pmf": {"3": 0.5, "4": 0.5}},
+                       kind="nb", starts_cap=2000, k_max=5, seed=3,
+                       out=str(tmp_path / "out"), **extra)
+    assert main([experiment, "--config", cfg]) == 4
+    err = capsys.readouterr().err
+    rows, states, size = map(int, re.match(
+        r"numeric guard: mixing batch of (\d+) starts x (\d+) states needs "
+        r"(\d+) bytes", err).groups())
+    assert rows == starts and size == rows * states * 8 > MAX_DENSE_BYTES
+    assert not (tmp_path / "out").exists()
 
 
 def test_rerun_is_byte_identical(tmp_path):

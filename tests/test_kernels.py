@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 from friendbias import (DistVector, EmpiricalMeasure, GenSpec, WalkOperator,
                         annealed_bias, bias_all, bias_k, build_graph,
                         validate_for_exploration)
-from friendbias.kernels import KernelError, _k_step_dist
+from friendbias.kernels import KernelError, _k_step_dist, _VertexSums
 from friendbias.oracle import small_graph_corpus
 
 from conftest import dense_transition
@@ -221,6 +221,29 @@ def test_walk_operator_batch_and_duality(seed, n, kind):
     lifts = np.array([op.lift(i) for i in range(g.n)])
     for w, row in zip(lifts, op.to_vertices(lifts)):
         assert np.array_equal(op.to_vertices(w), row)
+
+
+@given(st.integers(0, 10 ** 6), st.lists(st.integers(1, 40), min_size=1,
+                                        max_size=30), st.integers(1, 3))
+@settings(max_examples=200, deadline=None)
+def test_vertex_sums_match_reduceat_bit_for_bit(seed, degrees, rows):
+    # the column layout must keep np.add.reduceat's float order exactly;
+    # degrees above 8 take the pairwise reduceat fallback
+    rng = np.random.default_rng(seed)
+    out_start = np.concatenate(([0], np.cumsum(degrees)))
+    states = int(rng.integers(1, 100))
+    via = rng.integers(0, states, out_start[-1])
+    x = rng.standard_normal((rows, 2 * states))
+    x *= 10.0 ** rng.integers(-12, 13, x.shape)
+    x[rng.random(x.shape) < 0.1] = 0.0
+    x[rng.random(x.shape) < 0.1] = -0.0
+    sums = _VertexSums(out_start, via)
+    for arr in (x[0, :states], x[:, :states], x[:, ::2],
+                np.asfortranarray(x[:, states:])):
+        want = np.add.reduceat(arr[..., via], out_start[:-1], axis=-1)
+        got = sums(arr)
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def test_annealed_single_replica_equals_quenched():

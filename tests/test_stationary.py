@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from friendbias import (DistVector, bias_all, build_graph, mixing_profile,
-                        pi_component, pi_vertex, stationarity_residual,
-                        stationary_bias, tv_distance, validate_for_exploration)
-from friendbias.kernels import KernelError
+                        mixing_time, pi_component, pi_vertex,
+                        stationarity_residual, stationary_bias, tv_distance,
+                        validate_for_exploration)
+from friendbias import stationary
+from friendbias.kernels import KernelError, SizeGuardError
 from friendbias.measures import EmpiricalMeasure, levy_distance
 from friendbias.oracle import small_graph_corpus
 from friendbias.stationary import _pick_starts
@@ -217,8 +220,47 @@ def test_long_level_convergence_past_crossing():
     g = build_graph(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (2, 3)])
     limit = stationary_bias(g)
     for kind in ("bt", "nb", "lazy"):
-        prof = mixing_profile(g, kind, 900, eps_list=(1e-8,))
-        k_star = prof.first_crossing(1e-8)
+        k_star = mixing_time(g, kind, 1e-8, 900)
         assert k_star is not None, kind
         mu = bias_all(g, k_star, kind)
         assert levy_distance(mu, limit) <= 1e-6, kind
+
+
+@given(st.integers(0, 10 ** 6), st.integers(6, 60),
+       st.sampled_from(["bt", "nb", "lazy"]),
+       st.sampled_from([0.5, 0.1, 0.01, 1e-4]), st.integers(0, 60),
+       st.sampled_from([None, 1, 5, 16]))
+@settings(max_examples=60, deadline=None)
+def test_mixing_time_is_first_crossing(seed, n, kind, eps, k_max, cap):
+    from friendbias import (erase_to_simple, gen_configuration_model,
+                            sample_degree_sequence)
+    seq = sample_degree_sequence({2: 0.3, 3: 0.4, 4: 0.3}, n, seed)
+    g = gen_configuration_model(seq, seed + 1)
+    if kind != "nb":     # bt and lazy refuse self-loops
+        g, _ = erase_to_simple(g)
+    if not validate_for_exploration(g, "bt" if kind == "lazy" else kind).ok:
+        return
+    prof = mixing_profile(g, kind, k_max, eps_list=(eps,), delta=0.3,
+                          starts_cap=cap)
+    assert mixing_time(g, kind, eps, k_max, delta=0.3,
+                       starts_cap=cap) == prof.first_crossing(eps)
+
+
+def test_mixing_time_never_crossing(path3, fig_a):
+    # bipartite bt and the period-3 nb chain never mix
+    assert mixing_time(path3, "bt", 0.1, 50) is None
+    assert mixing_time(fig_a, "nb", 0.01, 150) is None
+
+
+def test_dense_batch_guard_counts_the_nb_vertex_batch(monkeypatch):
+    # 14 half-edge starts x 14 states fit; with the 6 vertex starts of the
+    # projected curve, 20 x 14 x 8 = 2240 bytes do not
+    g = build_graph(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (2, 3)])
+    crossing = mixing_time(g, "nb", 0.01, 300)
+    monkeypatch.setattr(stationary, "MAX_DENSE_BYTES", 2000)
+    with pytest.raises(SizeGuardError, match="20 starts x 14 states needs 2240 bytes"):
+        mixing_profile(g, "nb", 300)
+    assert mixing_time(g, "nb", 0.01, 300) == crossing
+    monkeypatch.setattr(stationary, "MAX_DENSE_BYTES", 1500)
+    with pytest.raises(SizeGuardError, match="14 starts x 14 states"):
+        mixing_time(g, "nb", 0.01, 300)
