@@ -5,8 +5,10 @@ Covers every experiment; the bt, nb and lazy explorations; nb `mixing` and
 `stationary` on unerased configuration-model multigraphs with self-loops;
 `mixing`, `bias` and `mix10` `joint` on a degree law with degrees above 8,
 whose per-vertex sums take np.add.reduceat's pairwise order; Erdos-Renyi
-with `restrict_giant`; `erase`; `graph_file` input; and the `mu_star`
-rejection path (a small `size_cap`). Each run writes into a
+with `restrict_giant`; `erase`; `graph_file` input; and `mu_star` on
+laws with 0 or 3 in the support, with rejections under a small `size_cap`,
+over a stream several sampling blocks long, and through the
+too-many-rejections guard (exit 4). Each run writes into a
 relative `--out` directory under WORKDIR, so the config headers in the
 outputs do not depend on where the script runs. A run's exit code and
 console output go to `<run>/console.txt`.
@@ -143,6 +145,22 @@ def runs() -> list[tuple[str, dict]]:
         ("noncommute", {"experiment": "noncommute",
                         "pmf": {"1": 0.75, "2": 0.25}, "n_samples": 2000,
                         "seed": 12}),
+        # mu_star laws with 0 or 3 in the support, rejections under small
+        # caps, a stream several sampling blocks long, and the rejection guard
+        ("limit-mu-star-bare-roots", {"experiment": "limit-mu-star",
+                                      "pmf": {"0": 0.2, "1": 0.5, "2": 0.3},
+                                      "n_samples": 2000, "seed": 5,
+                                      "size_cap": 4}),
+        ("limit-mu-star-degree3", {"experiment": "limit-mu-star",
+                                   "pmf": {"1": 0.8, "3": 0.2},
+                                   "n_samples": 2000, "seed": 6,
+                                   "size_cap": 9}),
+        ("noncommute-blocks", {"experiment": "noncommute",
+                               "pmf": {"1": 0.75, "2": 0.25},
+                               "n_samples": 20000, "seed": 14}),
+        ("limit-mu-star-guard", {"experiment": "limit-mu-star",
+                                 "pmf": {"1": 0.75, "2": 0.25},
+                                 "n_samples": 50, "seed": 3, "size_cap": 1}),
         ("oracle-check", {"experiment": "oracle-check"}),
     ]
     return out

@@ -24,6 +24,7 @@ from . import generators, kernels, measures, oracle, stationary, tree_limits
 from .graph_core import (ExplorationPreconditionError, Graph, load_edge_list,
                          save_edge_list, validate_for_exploration)
 from .kernels import KernelError, SizeGuardError
+from .measures import NonFiniteMeasureError
 
 EXPERIMENTS = ("generate", "bias", "stationary", "mixing", "limit-mu",
                "limit-mu-star", "sweep", "joint", "noncommute", "oracle-check")
@@ -71,6 +72,10 @@ class ExperimentConfig:
             raise ConfigError(f"laziness delta must lie in (0, 1), got {self.delta}")
         if self.replicas < 1:
             raise ConfigError("replicas must be >= 1")
+        if self.n_samples < 1:
+            raise ConfigError("n_samples must be >= 1")
+        if self.size_cap < 1:
+            raise ConfigError("size_cap must be >= 1")
         if self.scope not in ("global", "component"):
             raise ConfigError(f"unknown scope {self.scope!r}")
         if self.distance not in measures.DISTANCES:
@@ -538,7 +543,7 @@ def main(argv=None) -> int:
     except (PreconditionError, KernelError, ExplorationPreconditionError) as exc:
         print(f"precondition violation: {exc}", file=sys.stderr)
         return 3
-    except (SizeGuardError, RuntimeError) as exc:
+    except (SizeGuardError, NonFiniteMeasureError, RuntimeError) as exc:
         print(f"numeric guard: {exc}", file=sys.stderr)
         return 4
     except ValueError as exc:

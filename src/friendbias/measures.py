@@ -22,6 +22,17 @@ WEIGHT_TOL = 1e-12
 LEVY_RESOLUTION = 1e-12
 
 
+class NonFiniteMeasureError(ValueError):
+    """A measure was given a NaN or infinite value or weight."""
+
+
+def _require_finite(name: str, arr: np.ndarray) -> None:
+    finite = np.isfinite(arr)
+    if not finite.all():
+        raise NonFiniteMeasureError(
+            f"measure {name} must be finite, got {float(arr[~finite][0])!r}")
+
+
 @dataclass
 class EmpiricalMeasure:
     """Weighted finite multiset of real values, normalised to mass 1."""
@@ -37,6 +48,8 @@ class EmpiricalMeasure:
             raise ValueError("values and weights must be 1-d arrays of equal length")
         if self.values.size == 0:
             raise ValueError("empty measure")
+        _require_finite("values", self.values)
+        _require_finite("weights", self.weights)
         if np.any(self.weights < 0):
             raise ValueError("negative weight")
         total = float(self.weights.sum())
@@ -48,10 +61,12 @@ class EmpiricalMeasure:
         """Sort, merge near-equal values, and normalise bookkeeping.
 
         With weights omitted, each value carries mass 1/len(values).
+        Non-finite values are refused before the merge could absorb them.
         """
         v = np.asarray(values, dtype=np.float64).ravel()
         if v.size == 0:
             raise ValueError("empty measure")
+        _require_finite("values", v)
         if weights is None:
             w = np.full(v.size, 1.0 / v.size)
         else:

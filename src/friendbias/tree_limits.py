@@ -181,6 +181,8 @@ def sample_gw(p: OffspringLaw, rng: np.random.Generator,
     """
     if depth is not None and depth < 0:
         raise ValueError("depth must be >= 0")
+    if size_cap < 1:
+        raise ValueError("size_cap must be >= 1")
     levels = [p.sample(rng, 1)]
     total = 1
     while ((count := int(levels[-1].sum()))
@@ -266,31 +268,124 @@ def sample_mu(p: OffspringLaw, n_samples: int, seed: int) -> measures.EmpiricalM
                     "seed": seed})
 
 
+# uniforms sample_mu_star draws per block; a tree still unfinished at the end
+# of a block is carried into the next, which then draws at least as many
+_BLOCK = 8192
+
+
+def _counts(law: OffspringLaw, u: np.ndarray) -> np.ndarray:
+    """The offspring counts `law.sample` makes of the uniforms `u`:
+    Generator.choice maps each through the normalised cdf."""
+    cdf = law.ps.cumsum()
+    cdf /= cdf[-1]
+    return law.ks[np.searchsorted(cdf, u, side="right")]
+
+
+def _tree_ends(r: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Last stream position of the tree rooted at each position a, or -1 if
+    it does not end inside the stream.
+
+    The root reads r[a] and every later vertex s[t]. With S the prefix sum
+    of s - 1, the queue of unexplored vertices empties at the first t > a
+    with S[t] = S[a] - r[a], or at a itself when r[a] = 0. S never steps
+    down by more than 1, so that level is hit exactly. Positions are sorted
+    by (S, position) once; each query is then a search for (level, a).
+    """
+    n = r.size
+    pos = np.arange(n)
+    level = np.cumsum(s - 1)
+    order = np.argsort(level, kind="stable")
+    by_level = level[order]
+    group = np.concatenate(([0], np.cumsum(by_level[1:] != by_level[:-1])))
+    keys = group * n + order                    # ascending (level, position)
+    target = level - r
+    first = np.minimum(np.searchsorted(by_level, target), n - 1)
+    hit = np.searchsorted(keys, group[first] * n + pos, side="right")
+    found = np.minimum(hit, n - 1)
+    ends = np.where((hit < n) & (by_level[found] == target), order[found], -1)
+    return np.where(r == 0, pos, ends)
+
+
+def _drawn_before_rejection(r: np.ndarray, s: np.ndarray, a: int,
+                            size_cap: int) -> int:
+    """Uniforms `sample_gw` reads from the tree rooted at a before it gives
+    up: every generation before the one that takes the count past size_cap."""
+    total, nxt, count = 1, a + 1, int(r[a])
+    while total + count <= size_cap:
+        total += count
+        lo, nxt = nxt, nxt + count
+        count = int(s[lo:nxt].sum())
+    return total
+
+
+def _tree_biases(r: np.ndarray, s: np.ndarray, roots: list,
+                 lasts: list) -> np.ndarray:
+    """`stationary_tree_bias` of the trees on stream positions
+    roots[i]..lasts[i]: the degree sums are integers below 2**53, so float64
+    holds them exactly and the ratio rounds as it does there."""
+    roots = np.array(roots, dtype=np.int64)
+    lasts = np.array(lasts, dtype=np.int64)
+    squares = np.concatenate(([0], np.cumsum((s + 1) ** 2)))
+    sq = r[roots] ** 2 + squares[lasts + 1] - squares[roots + 1]
+    total = 2 * (lasts - roots)                 # twice the edge count
+    ratio = np.divide(sq, total, out=np.zeros(roots.size), where=total > 0)
+    return ratio - r[roots]
+
+
 def sample_mu_star(p: OffspringLaw, n_samples: int, seed: int,
                    size_cap: int = 10 ** 6) -> measures.EmpiricalMeasure:
     """Monte Carlo draw of mu_star: grow trees to extinction and emit the
     equilibrium bias of each root.
 
     Requires E[p*] < 1 (otherwise trees survive forever with positive
-    probability). Trees hitting `size_cap` are rejected, redrawn, and
-    counted in meta["rejections"].
+    probability). A tree with more than `size_cap` vertices is rejected,
+    redrawn, and counted in meta["rejections"]; more than 1000 + n_samples
+    rejections raise RuntimeError.
+
+    Stream contract: the result is that of calling `sample_gw(p, rng,
+    size_cap=size_cap)` until it returns n_samples trees, with one
+    PCG64(seed) generator. Those calls read a single stream of uniforms:
+    each tree's root (through p), then its generations breadth-first
+    (through p*); a rejected tree stops before the generation that would
+    pass the cap. Here the stream is read in blocks and each tree's end is
+    found from its queue walk, so the values keep their bits.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    mean_star = p.size_biased.m1
-    if not mean_star < 1.0:
+    if size_cap < 1:
+        raise ValueError("size_cap must be >= 1")
+    p_star = p.size_biased
+    if not p_star.m1 < 1.0:
         raise ValueError(f"mu_star needs a subcritical size-biased law; "
-                         f"E[p*] = {mean_star!r} >= 1")
+                         f"E[p*] = {p_star.m1!r} >= 1")
     rng = np.random.Generator(np.random.PCG64(seed))
+    r = s = np.zeros(0, dtype=np.int64)         # counts from the next root on
     vals = np.empty(n_samples)
-    rejections = 0
-    for i in range(n_samples):
-        while (tree := sample_gw(p, rng, size_cap=size_cap)) is None:
-            rejections += 1
-            if rejections > 1000 + n_samples:
-                raise RuntimeError("mu_star sampling rejected too many trees; "
-                                   "size cap too small for this law")
-        vals[i] = stationary_tree_bias(tree)
+    accepted = rejections = 0
+    while accepted < n_samples:
+        u = rng.random(max(_BLOCK, r.size))
+        r = np.concatenate((r, _counts(p, u)))
+        s = np.concatenate((s, _counts(p_star, u)))
+        ends = _tree_ends(r, s).tolist()
+        roots, lasts = [], []
+        a = 0
+        while a < r.size and accepted < n_samples:
+            end = ends[a]
+            if 0 <= end < a + size_cap:
+                roots.append(a)
+                lasts.append(end)
+                accepted += 1
+                a = end + 1
+            elif end < 0 and r.size - a < size_cap:
+                break                           # read on in the next block
+            else:
+                rejections += 1
+                if rejections > 1000 + n_samples:
+                    raise RuntimeError("mu_star sampling rejected too many trees; "
+                                       "size cap too small for this law")
+                a += _drawn_before_rejection(r, s, a, size_cap)
+        vals[accepted - len(roots):accepted] = _tree_biases(r, s, roots, lasts)
+        r, s = r[a:], s[a:]
     return measures.EmpiricalMeasure.from_values(
         vals, meta={"law": "mu_star", "pmf": p.to_dict(),
                     "n_samples": n_samples, "seed": seed,

@@ -9,6 +9,7 @@ from friendbias import build_graph, save_edge_list
 from friendbias.cli import ExperimentConfig, main, parse_schedule, schedule_k
 from friendbias.measures import EmpiricalMeasure
 from friendbias.stationary import MAX_DENSE_BYTES
+from friendbias.tree_limits import OffspringLaw
 
 
 def write_config(tmp_path, name, **kwargs):
@@ -85,6 +86,29 @@ def test_bad_config_exits_2(tmp_path, capsys):
     cfg = write_config(tmp_path, "bad2.json", experiment="bias",
                        unknown_key=1)
     assert main(["bias", "--config", cfg]) == 2
+
+
+@pytest.mark.parametrize("key", ["size_cap", "n_samples"])
+def test_nonpositive_sampling_sizes_exit_2(tmp_path, capsys, key):
+    # size_cap 0 used to accept one-vertex trees, whose size 1 is over it
+    cfg = write_config(tmp_path, "cfg.json", experiment="limit-mu-star",
+                       pmf={"0": 0.5, "1": 0.5}, out=str(tmp_path / "out"),
+                       **{key: 0})
+    assert main(["limit-mu-star", "--config", cfg]) == 2
+    assert f"config error: {key} must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_non_finite_measure_exits_4(tmp_path, capsys, monkeypatch):
+    # no valid pmf yields a NaN bias, so the moment ratio is forced to NaN
+    monkeypatch.setattr(OffspringLaw, "m2", property(lambda self: np.nan))
+    cfg = write_config(tmp_path, "cfg.json", experiment="limit-mu",
+                       pmf={"3": 0.5, "4": 0.5}, n_samples=10,
+                       out=str(tmp_path / "out"))
+    assert main(["limit-mu", "--config", cfg]) == 4
+    assert ("numeric guard: measure values must be finite, got nan"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "out").exists()
 
 
 def test_misspelled_scope_exits_2(tmp_path, capsys):

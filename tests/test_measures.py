@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from friendbias.measures import (EmpiricalMeasure, ks_distance, levy_distance,
-                                 w1_distance)
+from friendbias.measures import (EmpiricalMeasure, NonFiniteMeasureError,
+                                 ks_distance, levy_distance, w1_distance)
 
 
 def measure(vals, weights=None, **meta):
@@ -26,6 +26,25 @@ def test_weight_validation():
                          weights=np.array([1.5, -0.5]))
     with pytest.raises(ValueError):
         EmpiricalMeasure.from_values([])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_values_are_refused(bad):
+    # NaN sorts last and would otherwise merge into its neighbour
+    with pytest.raises(NonFiniteMeasureError, match="values must be finite"):
+        EmpiricalMeasure.from_values([bad, 1.0])
+    with pytest.raises(NonFiniteMeasureError, match="values must be finite"):
+        EmpiricalMeasure(values=[0.0, bad], weights=[0.5, 0.5])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_weights_are_refused(bad):
+    # abs(nan - 1) > tol is False, so the mass check alone lets NaN through
+    with pytest.raises(NonFiniteMeasureError, match="weights must be finite"):
+        EmpiricalMeasure(values=[0.0, 1.0], weights=[bad, 1.0])
+    with pytest.raises(NonFiniteMeasureError, match="weights must be finite"):
+        EmpiricalMeasure.from_values([0.0, 1.0], [bad, 1.0])
+    assert issubclass(NonFiniteMeasureError, ValueError)
 
 
 def test_mean_and_moment():

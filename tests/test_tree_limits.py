@@ -1,15 +1,18 @@
 import hashlib
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from friendbias import tree_limits
 from friendbias import (GWTree, OffspringLaw, bt_bias_on_finite_tree,
                         exact_mu, mix_seed, nb_bias_on_tree, sample_gw,
                         sample_mu, sample_mu_star, size_bias,
                         stationary_tree_bias, truncated_poisson)
 from friendbias.measures import EmpiricalMeasure, levy_distance
+from mu_star_loop import sample_mu_star_loop
 
 
 def law(d):
@@ -238,6 +241,80 @@ def test_mu_star_requires_subcritical():
 def test_mu_star_counts_rejections():
     m = sample_mu_star(law({1: 0.75, 2: 0.25}), 200, seed=8, size_cap=3)
     assert m.meta["rejections"] > 0
+
+
+def _mu_star_outcome(sampler, p, n, seed, cap):
+    """The measure's bits and meta, or the message of a RuntimeError."""
+    try:
+        m = sampler(p, n, seed, size_cap=cap)
+    except RuntimeError as exc:
+        return str(exc)
+    return (m.values.view(np.int64).tolist(), m.weights.view(np.int64).tolist(),
+            m.meta)
+
+
+@st.composite
+def subcritical_laws(draw):
+    """Laws on {0, ..., 4} with E[p*] < 1: that is 3 w3 + 8 w4 < w1."""
+    w0, w2, w3, w4 = (draw(st.integers(0, 6)) for _ in range(4))
+    w1 = 3 * w3 + 8 * w4 + draw(st.integers(1, 20))
+    total = w0 + w1 + w2 + w3 + w4
+    return law({k: w / total for k, w in enumerate((w0, w1, w2, w3, w4))})
+
+
+@given(p=subcritical_laws(), n=st.integers(1, 200),
+       seed=st.integers(0, 2 ** 32),
+       cap=st.sampled_from([1, 2, 3, 4, 9, 40, 10 ** 6]),
+       block=st.sampled_from([1, 2, 5, 64, tree_limits._BLOCK]))
+@settings(max_examples=150, deadline=None)
+def test_mu_star_reads_the_per_tree_stream(p, n, seed, cap, block):
+    # same uniforms, same order: bit-equal atoms and rejection counts, and
+    # the too-many-rejections error on the same inputs; small blocks make
+    # trees span several of them
+    want = _mu_star_outcome(sample_mu_star_loop, p, n, seed, cap)
+    with mock.patch.object(tree_limits, "_BLOCK", block):
+        assert _mu_star_outcome(sample_mu_star, p, n, seed, cap) == want
+
+
+@pytest.mark.parametrize("pmf, cap, block", [
+    ({1: 0.75, 2: 0.25}, 10 ** 6, 8192),   # noncommute's law
+    ({1: 0.75, 2: 0.25}, 10 ** 6, 3),      # trees span many blocks
+    ({0: 0.2, 1: 0.5, 2: 0.3}, 4, 8192),   # bare roots and rejections
+    ({1: 0.8, 3: 0.2}, 9, 5),
+    ({0: 0.2, 1: 0.75, 4: 0.05}, 40, 8192),
+])
+def test_mu_star_matches_the_per_tree_loop(pmf, cap, block):
+    p = law(pmf)
+    want = _mu_star_outcome(sample_mu_star_loop, p, 3000, 31, cap)
+    with mock.patch.object(tree_limits, "_BLOCK", block):
+        assert _mu_star_outcome(sample_mu_star, p, 3000, 31, cap) == want
+    assert (want[2]["rejections"] > 0) == (cap < 10 ** 6)
+
+
+def test_mu_star_rejection_guard_matches_the_loop():
+    # a cap of 1 keeps only bare roots (mass 0.2) and rejects the rest:
+    # about 4 rejections per tree, under the 1000 + n guard at n = 100 and
+    # over it at n = 400, where both samplers stop midway
+    p = law({0: 0.2, 1: 0.5, 2: 0.3})
+    for n in (100, 400):
+        want = _mu_star_outcome(sample_mu_star_loop, p, n, 3, 1)
+        assert _mu_star_outcome(sample_mu_star, p, n, 3, 1) == want
+    assert want == ("mu_star sampling rejected too many trees; "
+                    "size cap too small for this law")
+    # exactly 1000 + n rejections is still allowed
+    m = sample_mu_star(p, 309, seed=8, size_cap=1)
+    assert m.meta["rejections"] == 1309
+
+
+def test_size_cap_below_one_is_refused():
+    p = law({0: 0.5, 1: 0.5})
+    with pytest.raises(ValueError, match="size_cap must be >= 1"):
+        sample_gw(p, rng(0), size_cap=0)
+    with pytest.raises(ValueError, match="size_cap must be >= 1"):
+        sample_mu_star(p, 10, seed=0, size_cap=0)
+    # a cap of 1 keeps exactly the one-vertex trees
+    m = sample_mu_star(p, 200, seed=0, size_cap=1)
+    assert m.values.tolist() == [0.0] and m.meta["rejections"] > 0
 
 
 def test_mu_star_sampler_matches_enumeration():
