@@ -1,15 +1,16 @@
 #!/usr/bin/env python3
 """Worst-case total-variation curves for the three explorations on one
-graph family, written as CSV (one file per kind)."""
+graph family: the CLI `mixing` experiment once per kind, each writing
+mixing.csv and mixing_meta.json under OUT/<kind>."""
 
 import argparse
+import json
 import sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from friendbias import GenSpec, realize, validate_for_exploration
-from friendbias.stationary import mixing_profile
+from friendbias.cli import main as cli_main
 
 
 def main() -> int:
@@ -24,26 +25,29 @@ def main() -> int:
     args = ap.parse_args()
 
     if args.model == "erdos_renyi":
-        spec = GenSpec(model="erdos_renyi", n=args.n, lam=args.lam,
-                       seed=args.seed)
-        g = realize(spec, restrict_giant=True)
+        family = {"gen": {"model": "erdos_renyi", "n": args.n,
+                          "lam": args.lam},
+                  "restrict_giant": True}
     else:
-        spec = GenSpec(model="configuration", n=args.n,
-                       degree_pmf={3: 0.5, 4: 0.5}, seed=args.seed)
-        g = realize(spec, erase=True)
-
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
+        family = {"gen": {"model": "configuration", "n": args.n,
+                          "degree_pmf": {"3": 0.5, "4": 0.5}},
+                  "erase": True}
     for kind in ("bt", "lazy", "nb"):
-        check = "bt" if kind == "lazy" else kind
-        if not validate_for_exploration(g, check).ok:
+        out = Path(args.out) / kind
+        cfg = dict(family, experiment="mixing", kind=kind, seed=args.seed,
+                   k_max=args.k_max, out=str(out))
+        if args.n > 2000:
+            cfg["starts_cap"] = 64
+        out.mkdir(parents=True, exist_ok=True)
+        (out / "config.json").write_text(json.dumps(cfg, indent=1))
+        rc = cli_main(["mixing", "--config", str(out / "config.json")])
+        if rc == 3:
             print(f"{kind}: skipped (graph invalid for this exploration)")
             continue
-        prof = mixing_profile(g, kind, args.k_max,
-                              starts_cap=64 if g.n > 2000 else None)
-        path = outdir / f"mixing_{kind}.csv"
-        path.write_text(prof.to_csv(n=g.n, seed=args.seed))
-        print(f"{kind}: crossings {prof.crossings} -> {path}")
+        if rc != 0:
+            return rc
+        meta = json.loads((out / "mixing_meta.json").read_text())
+        print(f"{kind}: crossings {meta['crossings']} -> {out / 'mixing.csv'}")
     return 0
 
 

@@ -38,6 +38,10 @@ class PreconditionError(ValueError):
     """A stated experiment precondition does not hold."""
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass
 class ExperimentConfig:
     experiment: str
@@ -70,18 +74,25 @@ class ExperimentConfig:
             raise ConfigError(f"unknown exploration kind {self.kind!r}")
         if self.kind == "lazy" and not (0.0 < self.delta < 1.0):
             raise ConfigError(f"laziness delta must lie in (0, 1), got {self.delta}")
-        if self.replicas < 1:
-            raise ConfigError("replicas must be >= 1")
-        if self.n_samples < 1:
-            raise ConfigError("n_samples must be >= 1")
-        if self.size_cap < 1:
-            raise ConfigError("size_cap must be >= 1")
+        for key in ("replicas", "n_samples", "size_cap", "k_max", "bins",
+                    "window_N", "starts_cap"):
+            value = getattr(self, key)
+            if value is None and key == "starts_cap":
+                continue
+            if not _is_int(value):
+                raise ConfigError(f"{key} must be an integer, got {value!r}")
+            if value < 1 and key != "window_N":
+                raise ConfigError(f"{key} must be >= 1")
         if self.scope not in ("global", "component"):
             raise ConfigError(f"unknown scope {self.scope!r}")
         if self.distance not in measures.DISTANCES:
             raise ConfigError(f"unknown distance {self.distance!r}")
         if isinstance(self.k, str):
             parse_schedule(self.k)  # fail fast on malformed schedules
+        elif not all(_is_int(level) and level >= 0 for level in
+                     (self.k if isinstance(self.k, list) else [self.k])):
+            raise ConfigError(f"k must be an integer >= 0, a list of them or "
+                              f"a schedule, got {self.k!r}")
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -139,46 +150,45 @@ def schedule_k(cfg: ExperimentConfig, n: int, n_index: int, graph=None) -> int:
     return 10 * crossing
 
 
-def _json_bytes(payload: dict) -> str:
-    return json.dumps(payload, sort_keys=True, indent=1) + "\n"
-
-
 def _write(path: Path, text: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
         fh.write(text)
 
 
-def _header(cfg: ExperimentConfig) -> str:
-    return "# config: " + json.dumps(cfg.to_dict(), sort_keys=True) + "\n"
+def _write_json(path: Path, payload: dict) -> None:
+    _write(path, json.dumps(payload, sort_keys=True, indent=1) + "\n")
+
+
+def _cell(value) -> str:
+    if value is None:
+        return ""
+    return repr(value) if isinstance(value, float) else str(value)
+
+
+def _write_csv(path: Path, cfg: ExperimentConfig, header, rows) -> None:
+    """A `# config:` line, the column names, then one line per row: floats
+    as repr, None as an empty cell."""
+    lines = ["# config: " + json.dumps(cfg.to_dict(), sort_keys=True),
+             ",".join(header)]
+    lines += [",".join(map(_cell, row)) for row in rows]
+    _write(path, "\n".join(lines) + "\n")
 
 
 def _write_measure(path: Path, m: measures.EmpiricalMeasure,
                    cfg: ExperimentConfig) -> None:
     d = m.to_dict()
-    d["meta"] = dict(d["meta"])
-    d["meta"]["config"] = cfg.to_dict()
-    d["meta"]["master_seed"] = cfg.seed
-    _write(path, _json_bytes(d))
+    d["meta"] = dict(d["meta"], config=cfg.to_dict(), master_seed=cfg.seed)
+    _write_json(path, d)
 
 
-def _write_histogram(path: Path, m: measures.EmpiricalMeasure,
-                     cfg: ExperimentConfig) -> None:
-    rows = m.histogram(cfg.bins)
-    lines = [_header(cfg).rstrip("\n"), "bin_left,bin_right,mass"]
-    lines += [f"{a!r},{b!r},{c!r}" for a, b, c in rows]
-    _write(path, "\n".join(lines) + "\n")
-
-
-def _summary_csv(cfg: ExperimentConfig, rows: list[dict]) -> str:
-    cols = ("experiment", "n", "k", "kind", "seed", "mean",
-            "nonneg_fraction", "levy_to_limit")
-    lines = [_header(cfg).rstrip("\n"), ",".join(cols)]
-    for row in rows:
-        lines.append(",".join("" if row.get(c) is None else
-                              (repr(row[c]) if isinstance(row[c], float)
-                               else str(row[c])) for c in cols))
-    return "\n".join(lines) + "\n"
+def _write_summary(out: Path, cfg: ExperimentConfig,
+                   m: measures.EmpiricalMeasure, n, k, levy_to_limit) -> None:
+    _write_csv(out / "summary.csv", cfg,
+               ("experiment", "n", "k", "kind", "seed", "mean",
+                "nonneg_fraction", "levy_to_limit"),
+               [(cfg.experiment, n, k, cfg.kind, cfg.seed, m.mean(),
+                 m.mass_at_least(0.0), levy_to_limit)])
 
 
 def _genspec(cfg: ExperimentConfig) -> generators.GenSpec:
@@ -190,17 +200,24 @@ def _genspec(cfg: ExperimentConfig) -> generators.GenSpec:
         raise ConfigError(f"bad gen spec: {exc}") from exc
 
 
-def _replica_graph(cfg: ExperimentConfig, r: int) -> Graph:
-    spec = _genspec(cfg)
-    return generators.realize(spec,
-                              seed_override=generators.mix_seed(cfg.seed, r),
+def _realize(cfg: ExperimentConfig, seed: int, n: int | None = None) -> Graph:
+    return generators.realize(_genspec(cfg), n_override=n, seed_override=seed,
                               erase=cfg.erase, restrict_giant=cfg.restrict_giant)
 
 
-def _resolve_graph(cfg: ExperimentConfig, r: int = 0) -> Graph:
+def _replica_graphs(cfg: ExperimentConfig, seed: int, n: int | None = None):
+    """Yield replica r = 0..replicas-1 of the generated family, realised on
+    mix_seed(seed, r) and checked for cfg.kind."""
+    for r in range(cfg.replicas):
+        g = _realize(cfg, generators.mix_seed(seed, r), n)
+        _check_kind(cfg, g)
+        yield g
+
+
+def _resolve_graph(cfg: ExperimentConfig) -> Graph:
     if cfg.graph_file is not None:
         return load_edge_list(cfg.graph_file)
-    return _replica_graph(cfg, r)
+    return _realize(cfg, generators.mix_seed(cfg.seed, 0))
 
 
 def _check_kind(cfg: ExperimentConfig, g: Graph) -> None:
@@ -214,8 +231,6 @@ def _check_kind(cfg: ExperimentConfig, g: Graph) -> None:
 def _fixed_k(cfg: ExperimentConfig) -> int:
     if not isinstance(cfg.k, int):
         raise ConfigError(f"experiment {cfg.experiment!r} needs an integer k")
-    if cfg.k < 0:
-        raise ConfigError("k must be >= 0")
     return cfg.k
 
 
@@ -228,19 +243,22 @@ def run_generate(cfg: ExperimentConfig) -> int:
     meta["config"] = cfg.to_dict()
     meta["n"] = g.n
     meta["num_edges"] = g.num_edges
-    _write(out / "graph.meta.json", _json_bytes(meta))
+    _write_json(out / "graph.meta.json", meta)
     return 0
 
 
 def run_bias(cfg: ExperimentConfig) -> int:
     k = _fixed_k(cfg)
-    if cfg.graph_file is not None and cfg.replicas != 1:
+    if cfg.graph_file is None:
+        graphs = _replica_graphs(cfg, cfg.seed)
+    elif cfg.replicas == 1:
+        graphs = [load_edge_list(cfg.graph_file)]
+        _check_kind(cfg, graphs[0])
+    else:
         raise ConfigError("replicas > 1 requires a generated family, not a graph file")
     mus = []
     levy_to_limit = None
-    for r in range(cfg.replicas):
-        g = _resolve_graph(cfg, r)
-        _check_kind(cfg, g)
+    for r, g in enumerate(graphs):
         mus.append(kernels.bias_all(g, k, cfg.kind, delta=cfg.delta,
                                     meta={"replica": r, "seed": cfg.seed}))
         if r == 0:
@@ -255,16 +273,13 @@ def run_bias(cfg: ExperimentConfig) -> int:
     _write_measure(out / "bias_measure.json", mus[0], cfg)
     primary = mus[0]
     if cfg.replicas > 1:
-        primary = kernels.AnnealedResult.pool(
+        primary = kernels.pool_replicas(
             mus, {"k": k, "kind": cfg.kind, "replicas": cfg.replicas,
-                  "annealed": True}).measure
+                  "annealed": True})
         _write_measure(out / "bias_measure_annealed.json", primary, cfg)
-    _write_histogram(out / "bias_histogram.csv", primary, cfg)
-    row = {"experiment": "bias", "n": mus[0].meta.get("n"), "k": k,
-           "kind": cfg.kind, "seed": cfg.seed, "mean": primary.mean(),
-           "nonneg_fraction": primary.mass_at_least(0.0),
-           "levy_to_limit": levy_to_limit}
-    _write(out / "summary.csv", _summary_csv(cfg, [row]))
+    _write_csv(out / "bias_histogram.csv", cfg, ("bin_left", "bin_right", "mass"),
+               primary.histogram(cfg.bins))
+    _write_summary(out, cfg, primary, mus[0].meta["n"], k, levy_to_limit)
     return 0
 
 
@@ -286,32 +301,28 @@ def run_stationary(cfg: ExperimentConfig) -> int:
         except (KernelError, ExplorationPreconditionError):
             diag[f"residual_{kind}"] = None
     diag["config"] = cfg.to_dict()
-    _write(out / "diagnostics.json", _json_bytes(diag))
-    row = {"experiment": "stationary", "n": g.n, "k": None, "kind": cfg.kind,
-           "seed": cfg.seed, "mean": mu_inf.mean(),
-           "nonneg_fraction": mu_inf.mass_at_least(0.0),
-           "levy_to_limit": None}
-    _write(out / "summary.csv", _summary_csv(cfg, [row]))
+    _write_json(out / "diagnostics.json", diag)
+    _write_summary(out, cfg, mu_inf, g.n, None, None)
     return 0
 
 
 def run_mixing(cfg: ExperimentConfig) -> int:
     g = _resolve_graph(cfg)
     _check_kind(cfg, g)
-    cap = cfg.starts_cap
     profile = stationary.mixing_profile(g, cfg.kind, cfg.k_max,
-                                        eps_list=cfg.eps_list,
-                                        delta=cfg.delta, starts_cap=cap)
+                                        eps_list=cfg.eps_list, delta=cfg.delta,
+                                        starts_cap=cfg.starts_cap)
     out = Path(cfg.out)
-    _write(out / "mixing.csv", _header(cfg)
-           + profile.to_csv(n=g.n, seed=cfg.seed))
+    _write_csv(out / "mixing.csv", cfg, ("k", "D", "kind", "n", "seed"),
+               [(k, dv, cfg.kind, g.n, cfg.seed)
+                for k, dv in zip(profile.k_values, profile.D_values)])
     meta = {"crossings": {repr(e): profile.crossings[e] for e in profile.eps_list},
             "flagged_nonergodic": profile.flagged_nonergodic,
             "states": profile.states, "starts_used": profile.starts_used,
             "config": cfg.to_dict()}
     if profile.D_vertex_values is not None:
         meta["D_vertex_values"] = profile.D_vertex_values
-    _write(out / "mixing_meta.json", _json_bytes(meta))
+    _write_json(out / "mixing_meta.json", meta)
     return 0
 
 
@@ -328,11 +339,8 @@ def run_limit_mu(cfg: ExperimentConfig) -> int:
     out = Path(cfg.out)
     _write_measure(out / "mu_measure.json", m, cfg)
     _write_measure(out / "mu_exact.json", limit, cfg)
-    row = {"experiment": "limit-mu", "n": cfg.n_samples, "k": None,
-           "kind": cfg.kind, "seed": cfg.seed, "mean": m.mean(),
-           "nonneg_fraction": m.mass_at_least(0.0),
-           "levy_to_limit": measures.levy_distance(m, limit)}
-    _write(out / "summary.csv", _summary_csv(cfg, [row]))
+    _write_summary(out, cfg, m, cfg.n_samples, None,
+                   measures.levy_distance(m, limit))
     return 0
 
 
@@ -344,10 +352,7 @@ def run_limit_mu_star(cfg: ExperimentConfig) -> int:
                                    size_cap=cfg.size_cap)
     out = Path(cfg.out)
     _write_measure(out / "mu_star_measure.json", m, cfg)
-    row = {"experiment": "limit-mu-star", "n": cfg.n_samples, "k": None,
-           "kind": cfg.kind, "seed": cfg.seed, "mean": m.mean(),
-           "nonneg_fraction": m.mass_at_least(0.0), "levy_to_limit": None}
-    _write(out / "summary.csv", _summary_csv(cfg, [row]))
+    _write_summary(out, cfg, m, cfg.n_samples, None, None)
     return 0
 
 
@@ -360,29 +365,26 @@ def run_sweep(cfg: ExperimentConfig) -> int:
     if max(cfg.n_grid) < cfg.window_N or cfg.k_max < max(cfg.window_N, 1):
         raise ConfigError(
             f"empty window: no grid points with n,k >= {cfg.window_N}")
-    spec = _genspec(cfg)
-    lines = [_header(cfg).rstrip("\n"), "n,k,kind,levy,ks,w1"]
+    rows = []
     worst = 0.0
     for idx, n in enumerate(cfg.n_grid):
-        g = generators.realize(spec, n_override=n,
-                               seed_override=generators.mix_seed(cfg.seed, idx),
-                               erase=cfg.erase, restrict_giant=cfg.restrict_giant)
+        g = _realize(cfg, generators.mix_seed(cfg.seed, idx), n)
         _check_kind(cfg, g)
         limit = stationary.stationary_bias(g, scope=cfg.scope)
         for k, deltas in kernels.bias_profile(g, cfg.k_max, cfg.kind,
                                               delta=cfg.delta):
             mu_k = measures.EmpiricalMeasure.from_values(deltas)
             lv = measures.levy_distance(mu_k, limit)
-            lines.append(f"{g.n},{k},{cfg.kind},{lv!r},"
-                         f"{measures.ks_distance(mu_k, limit)!r},"
-                         f"{measures.w1_distance(mu_k, limit)!r}")
+            rows.append((g.n, k, cfg.kind, lv, measures.ks_distance(mu_k, limit),
+                         measures.w1_distance(mu_k, limit)))
             if n >= cfg.window_N and k >= cfg.window_N:
                 worst = max(worst, lv)
     out = Path(cfg.out)
-    _write(out / "sweep.csv", "\n".join(lines) + "\n")
-    _write(out / "psi.json", _json_bytes({"window_N": cfg.window_N,
-                                          "psi_window": worst,
-                                          "config": cfg.to_dict()}))
+    _write_csv(out / "sweep.csv", cfg, ("n", "k", "kind", "levy", "ks", "w1"),
+               rows)
+    _write_json(out / "psi.json", {"window_N": cfg.window_N,
+                                   "psi_window": worst,
+                                   "config": cfg.to_dict()})
     return 0
 
 
@@ -405,16 +407,11 @@ def run_joint(cfg: ExperimentConfig) -> int:
         p = tree_limits.truncated_poisson(float(spec.lam))
     limit = tree_limits.exact_mu(p)
     out = Path(cfg.out)
-    lines = [_header(cfg).rstrip("\n"), "n,k_n,levy,w1,mean_gap"]
+    rows = []
     for idx, n in enumerate(cfg.n_grid):
         mus = []
         k_n = None
-        for r in range(cfg.replicas):
-            seed = generators.mix_seed(generators.mix_seed(cfg.seed, idx), r)
-            g = generators.realize(spec, n_override=n, seed_override=seed,
-                                   erase=cfg.erase,
-                                   restrict_giant=cfg.restrict_giant)
-            _check_kind(cfg, g)
+        for g in _replica_graphs(cfg, generators.mix_seed(cfg.seed, idx), n):
             if k_n is None:
                 k_n = schedule_k(cfg, n, idx, graph=g)
             mus.append(kernels.bias_all(g, k_n, cfg.kind, delta=cfg.delta))
@@ -423,9 +420,10 @@ def run_joint(cfg: ExperimentConfig) -> int:
                        "replicas": cfg.replicas})
         _write_measure(out / f"joint_measure_n{n}.json", pooled, cfg)
         mean_gap = abs(float(np.mean([m.mean() for m in mus])) - limit.mean())
-        lines.append(f"{n},{k_n},{measures.levy_distance(pooled, limit)!r},"
-                     f"{measures.w1_distance(pooled, limit)!r},{mean_gap!r}")
-    _write(out / "joint.csv", "\n".join(lines) + "\n")
+        rows.append((n, k_n, measures.levy_distance(pooled, limit),
+                     measures.w1_distance(pooled, limit), mean_gap))
+    _write_csv(out / "joint.csv", cfg, ("n", "k_n", "levy", "w1", "mean_gap"),
+               rows)
     return 0
 
 
@@ -447,7 +445,7 @@ def run_noncommute(cfg: ExperimentConfig) -> int:
               "mean_mu_star": mu_star.mean(), "se_mu_star": _se(mu_star),
               "levy_mu_vs_mu_star": measures.levy_distance(mu, mu_star),
               "config": cfg.to_dict(), "master_seed": cfg.seed}
-    _write(Path(cfg.out) / "noncommute_report.json", _json_bytes(report))
+    _write_json(Path(cfg.out) / "noncommute_report.json", report)
     return 0
 
 

@@ -21,7 +21,7 @@ constructors may rescale.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -279,42 +279,22 @@ def bias_profile(g: Graph, k_max: int, kind: str, delta: float = 0.5):
         yield k, op.lifted_mean(y) - g.degrees_float
 
 
-@dataclass
-class AnnealedResult:
-    """Average of per-replica bias distributions plus sampling error."""
-
-    measure: measures.EmpiricalMeasure
-    replica_means: list[float] = field(default_factory=list)
-
-    @classmethod
-    def pool(cls, parts: list, meta: dict) -> "AnnealedResult":
-        """Pool per-replica measures into their uniform mixture, recording
-        the replica mean and its standard error in the pooled meta."""
-        pooled = measures.EmpiricalMeasure.mixture(parts, meta=meta)
-        result = cls(measure=pooled, replica_means=[m.mean() for m in parts])
-        pooled.meta["mean_bias"] = result.mean_bias
-        pooled.meta["sem_mean_bias"] = result.sem_mean_bias
-        return result
-
-    @property
-    def replicas(self) -> int:
-        return len(self.replica_means)
-
-    @property
-    def mean_bias(self) -> float:
-        return float(np.mean(self.replica_means))
-
-    @property
-    def sem_mean_bias(self) -> float:
-        if len(self.replica_means) < 2:
-            return 0.0
-        return float(np.std(self.replica_means, ddof=1)
-                     / np.sqrt(len(self.replica_means)))
+def pool_replicas(parts: list, meta: dict) -> measures.EmpiricalMeasure:
+    """The uniform mixture of per-replica measures, with the mean of the
+    replica means and its standard error in meta["mean_bias"] and
+    meta["sem_mean_bias"]."""
+    pooled = measures.EmpiricalMeasure.mixture(parts, meta=meta)
+    means = [m.mean() for m in parts]
+    pooled.meta["mean_bias"] = float(np.mean(means))
+    pooled.meta["sem_mean_bias"] = (
+        float(np.std(means, ddof=1) / np.sqrt(len(means)))
+        if len(means) > 1 else 0.0)
+    return pooled
 
 
 def annealed_bias(spec: generators.GenSpec, k: int, kind: str,
                   replicas: int, delta: float = 0.5, erase: bool = False,
-                  restrict_giant: bool = False) -> AnnealedResult:
+                  restrict_giant: bool = False) -> measures.EmpiricalMeasure:
     """Monte Carlo estimate of the expected bias distribution: the uniform
     mixture of quenched distributions over independent graph replicas.
 
@@ -331,5 +311,5 @@ def annealed_bias(spec: generators.GenSpec, k: int, kind: str,
             parts.append(bias_all(g, k, kind, delta=delta))
         except Exception as exc:
             raise type(exc)(f"replica {r}: {exc}") from exc
-    return AnnealedResult.pool(parts, {"k": k, "kind": kind, "replicas": replicas,
-                                       "master_seed": spec.seed, "annealed": True})
+    return pool_replicas(parts, {"k": k, "kind": kind, "replicas": replicas,
+                                 "master_seed": spec.seed, "annealed": True})

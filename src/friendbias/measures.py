@@ -126,11 +126,6 @@ class EmpiricalMeasure:
                    weights=np.array([a[1] for a in atoms]),
                    meta=dict(d.get("meta", {})))
 
-    def save_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, sort_keys=True, indent=1)
-            fh.write("\n")
-
     @classmethod
     def load_json(cls, path) -> "EmpiricalMeasure":
         with open(path) as fh:

@@ -14,8 +14,7 @@ starts (`starts_cap`), which is recorded in the profile.
 
 from __future__ import annotations
 
-import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -117,21 +116,10 @@ class MixingProfile:
     flagged_nonergodic: bool
     states: int
     starts_used: int
-    delta: float | None = None
     D_vertex_values: list[float] | None = None
-    meta: dict = field(default_factory=dict)
 
     def first_crossing(self, eps: float):
         return self.crossings.get(eps)
-
-    def to_csv(self, n=None, seed=None) -> str:
-        buf = io.StringIO()
-        buf.write("k,D,kind,n,seed\n")
-        n_txt = "" if n is None else str(n)
-        s_txt = "" if seed is None else str(seed)
-        for k, dv in zip(self.k_values, self.D_values):
-            buf.write(f"{k},{dv!r},{self.kind},{n_txt},{s_txt}\n")
-        return buf.getvalue()
 
 
 def _pick_starts(n_states: int, starts_cap) -> np.ndarray:
@@ -216,7 +204,6 @@ def mixing_profile(g: Graph, kind: str, k_max: int,
                          flagged_nonergodic=flagged, states=op.states,
                          starts_used=int(_pick_starts(op.states,
                                                       starts_cap).size),
-                         delta=delta if kind == "lazy" else None,
                          D_vertex_values=D_vertex)
 
 

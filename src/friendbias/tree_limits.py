@@ -71,6 +71,14 @@ class OffspringLaw:
         return float(np.dot(self.ps, self.ks.astype(np.float64) ** 2))
 
     @property
+    def moment_ratio(self) -> float:
+        """E[D^2]/E[D], the mean degree of a size-biased pick."""
+        if self.m1 <= 0:
+            raise ValueError("moment ratio E[D^2]/E[D] undefined: "
+                             "offspring mean is zero")
+        return self.m2 / self.m1
+
+    @property
     def variance(self) -> float:
         return self.m2 - self.m1 ** 2
 
@@ -245,7 +253,7 @@ def bt_bias_on_finite_tree(t: GWTree, k: int, delta: float = 0.5) -> float:
 
 def exact_mu(p: OffspringLaw, meta=None) -> measures.EmpiricalMeasure:
     """The limit law mu exactly: atoms E[D^2]/E[D] - k with weight p_k."""
-    ratio = p.m2 / p.m1
+    ratio = p.moment_ratio
     info = {"law": "mu", "pmf": p.to_dict(), "exact": True}
     info.update(meta or {})
     return measures.EmpiricalMeasure.from_values(
@@ -260,9 +268,10 @@ def sample_mu(p: OffspringLaw, n_samples: int, seed: int) -> measures.EmpiricalM
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
+    ratio = p.moment_ratio
     rng = np.random.Generator(np.random.PCG64(seed))
     draws = p.sample(rng, n_samples)
-    vals = p.m2 / p.m1 - draws.astype(np.float64)
+    vals = ratio - draws.astype(np.float64)
     return measures.EmpiricalMeasure.from_values(
         vals, meta={"law": "mu", "pmf": p.to_dict(), "n_samples": n_samples,
                     "seed": seed})

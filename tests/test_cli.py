@@ -111,6 +111,37 @@ def test_non_finite_measure_exits_4(tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("experiment, extra", [
+    ("limit-mu", {"pmf": {"0": 1.0}}),
+    ("joint", {"gen": {"model": "configuration", "n": 40,
+                       "degree_pmf": {"0": 1.0}}, "n_grid": [40]}),
+])
+def test_zero_mean_offspring_law_exits_2(tmp_path, capsys, experiment, extra):
+    cfg = write_config(tmp_path, "cfg.json", experiment=experiment,
+                       out=str(tmp_path / "out"), **extra)
+    assert main([experiment, "--config", cfg]) == 2
+    assert "offspring mean is zero" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("key, value", [
+    ("starts_cap", 0), ("starts_cap", -3), ("starts_cap", 2.5),
+    ("bins", 0), ("bins", -1), ("bins", 4.5),
+    ("k_max", -1), ("k_max", 2.0),
+    ("replicas", 2.5), ("n_samples", 1e5), ("size_cap", "10"),
+    ("window_N", 1.5), ("k", [-2]), ("k", [1.5]), ("k", -1), ("k", 2.5),
+])
+def test_bad_config_values_exit_2(tmp_path, capsys, key, value):
+    cfg = write_config(tmp_path, "cfg.json", experiment="joint",
+                       gen={"model": "configuration", "n": 40,
+                            "degree_pmf": {"3": 0.5, "4": 0.5}},
+                       kind="nb", n_grid=[40], out=str(tmp_path / "out"),
+                       **{key: value})
+    assert main(["joint", "--config", cfg]) == 2
+    assert f"config error: {key} must be" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_misspelled_scope_exits_2(tmp_path, capsys):
     cfg = write_config(tmp_path, "cfg.json", experiment="bias",
                        gen={"model": "configuration", "n": 40,
@@ -209,6 +240,20 @@ def test_stationary_and_mixing_outputs(tmp_path):
     lines = (tmp_path / "m_out" / "mixing.csv").read_text().splitlines()
     assert lines[1] == "k,D,kind,n,seed"
     assert float(lines[2].split(",")[1]) == pytest.approx(0.25)
+
+
+def test_mixing_csv_round(tmp_path):
+    k4 = build_graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
+    save_edge_list(k4, tmp_path / "k4.edges")
+    cfg = write_config(tmp_path, "m.json", experiment="mixing",
+                       graph_file=str(tmp_path / "k4.edges"), kind="bt",
+                       k_max=3, seed=7, out=str(tmp_path / "out"))
+    assert main(["mixing", "--config", cfg]) == 0
+    lines = (tmp_path / "out" / "mixing.csv").read_text().splitlines()
+    assert lines[0].startswith("# config: ")
+    assert lines[1] == "k,D,kind,n,seed"
+    assert len(lines) == 5
+    assert lines[2].split(",")[2:] == ["bt", "4", "7"]
 
 
 def test_joint_regular_family_levy_zero(tmp_path):

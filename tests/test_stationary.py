@@ -147,16 +147,6 @@ def test_mixing_nb_periodic_chain_flagged(fig_a):
     assert min(prof.D_values) > 0.3
 
 
-def test_mixing_csv_round():
-    g = build_graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
-    prof = mixing_profile(g, "bt", 3)
-    text = prof.to_csv(n=4, seed=7)
-    lines = text.strip().split("\n")
-    assert lines[0] == "k,D,kind,n,seed"
-    assert len(lines) == 4
-    assert lines[1].split(",")[2] == "bt"
-
-
 def test_mixing_profile_matches_dense_matrix_powers(fig_a):
     # the batched push machinery against explicit matrix powers
     P = dense_transition(fig_a)

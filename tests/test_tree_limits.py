@@ -58,6 +58,15 @@ def test_size_bias_zero_mean_error():
         size_bias(law({0: 1.0}))
 
 
+def test_moment_ratio_zero_mean_error():
+    assert law({3: 0.5, 4: 0.5}).moment_ratio == 25 / 7
+    p = law({0: 1.0})
+    for call in (lambda: p.moment_ratio, lambda: exact_mu(p),
+                 lambda: sample_mu(p, 10, 0)):
+        with pytest.raises(ValueError, match="offspring mean is zero"):
+            call()
+
+
 @given(st.dictionaries(st.integers(0, 9), st.integers(1, 20),
                        min_size=1, max_size=5))
 @settings(max_examples=60)
