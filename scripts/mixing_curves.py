@@ -11,6 +11,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from friendbias.cli import main as cli_main
+from friendbias.stationary import MAX_EXACT_STATES
 
 
 def main() -> int:
@@ -24,19 +25,24 @@ def main() -> int:
     ap.add_argument("--k-max", type=int, default=120)
     args = ap.parse_args()
 
+    # most_half_edges bounds 2m, the number of nb states, before the draw
     if args.model == "erdos_renyi":
         family = {"gen": {"model": "erdos_renyi", "n": args.n,
                           "lam": args.lam},
                   "restrict_giant": True}
+        most_half_edges = args.n * (args.n - 1)
     else:
+        pmf = {"3": 0.5, "4": 0.5}
         family = {"gen": {"model": "configuration", "n": args.n,
-                          "degree_pmf": {"3": 0.5, "4": 0.5}},
+                          "degree_pmf": pmf},
                   "erase": True}
+        most_half_edges = args.n * max(map(int, pmf))
     for kind in ("bt", "lazy", "nb"):
         out = Path(args.out) / kind
         cfg = dict(family, experiment="mixing", kind=kind, seed=args.seed,
                    k_max=args.k_max, out=str(out))
-        if args.n > 2000:
+        if args.n > 2000 or (kind == "nb"
+                             and most_half_edges > MAX_EXACT_STATES):
             cfg["starts_cap"] = 64
         out.mkdir(parents=True, exist_ok=True)
         (out / "config.json").write_text(json.dumps(cfg, indent=1))

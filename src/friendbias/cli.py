@@ -150,14 +150,71 @@ def schedule_k(cfg: ExperimentConfig, n: int, n_index: int, graph=None) -> int:
     return 10 * crossing
 
 
-def _write(path: Path, text: str) -> None:
+# atoms per piece of a streamed atom list; bounds the memory of a measure write
+ATOM_CHUNK = 1 << 12
+# stands in for an atom list in the dumped text; no config or meta string
+# holds a NUL
+_ATOMS = "\0atoms\0"
+
+
+def _write(path: Path, pieces) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
-        fh.write(text)
+        fh.writelines(pieces)
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    _write(path, json.dumps(payload, sort_keys=True, indent=1) + "\n")
+def _atom_text(m: measures.EmpiricalMeasure, before: str):
+    """The atom list of `m.to_dict()` as json.dumps(indent=1) writes it after
+    `before`, which ends with the start of the line of its key, in pieces of
+    ATOM_CHUNK atoms.
+
+    json writes floats with float.__repr__, as `repr` does. A pooled measure
+    has few distinct weights, so each distinct weight bit pattern in a piece
+    is written once (-0.0 and 0.0 stay apart)."""
+    line = before[before.rfind("\n") + 1:]
+    indent = len(line) - len(line.lstrip(" "))
+    outer, inner = " " * (indent + 1), " " * (indent + 2)
+    within = ",\n" + inner                       # an atom's value, its weight
+    between = f"\n{outer}],\n{outer}[\n{inner}"  # one atom, the next
+    yield f"[\n{outer}[\n{inner}"
+    for lo in range(0, m.values.size, ATOM_CHUNK):
+        bits, which = np.unique(m.weights[lo:lo + ATOM_CHUNK].view(np.int64),
+                                return_inverse=True)
+        weights = [repr(w) for w in bits.view(np.float64).tolist()]
+        atoms = zip(map(repr, m.values[lo:lo + ATOM_CHUNK].tolist()),
+                    map(weights.__getitem__, which.tolist()))
+        yield (between if lo else "") + between.join(map(within.join, atoms))
+    yield f"\n{outer}]\n{' ' * indent}]"
+
+
+def _write_json(path: Path, payload) -> None:
+    """Write json.dumps(payload, sort_keys=True, indent=1) and a newline,
+    with every EmpiricalMeasure in `payload` in its to_dict() form.
+
+    The atom lists are not built as Python objects: each measure is dumped
+    with a placeholder for its atoms, and the atom text is streamed from the
+    arrays into the placeholder's place."""
+    found = []
+
+    def stand_in(obj):
+        if not isinstance(obj, measures.EmpiricalMeasure):
+            raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+        found.append(obj)
+        return {"atoms": _ATOMS, "meta": obj.meta}
+
+    text = json.dumps(payload, sort_keys=True, indent=1, default=stand_in)
+    head, *tails = text.split(json.dumps(_ATOMS))
+    if len(tails) != len(found):
+        raise ValueError("a string in the payload equals the atom placeholder")
+
+    def pieces():
+        yield head
+        for m, before, tail in zip(found, [head, *tails], tails):
+            yield from _atom_text(m, before)
+            yield tail
+        yield "\n"
+
+    _write(path, pieces())
 
 
 def _cell(value) -> str:
@@ -172,14 +229,13 @@ def _write_csv(path: Path, cfg: ExperimentConfig, header, rows) -> None:
     lines = ["# config: " + json.dumps(cfg.to_dict(), sort_keys=True),
              ",".join(header)]
     lines += [",".join(map(_cell, row)) for row in rows]
-    _write(path, "\n".join(lines) + "\n")
+    _write(path, ["\n".join(lines) + "\n"])
 
 
 def _write_measure(path: Path, m: measures.EmpiricalMeasure,
                    cfg: ExperimentConfig) -> None:
-    d = m.to_dict()
-    d["meta"] = dict(d["meta"], config=cfg.to_dict(), master_seed=cfg.seed)
-    _write_json(path, d)
+    meta = dict(m.meta, config=cfg.to_dict(), master_seed=cfg.seed)
+    _write_json(path, measures.EmpiricalMeasure(m.values, m.weights, meta))
 
 
 def _write_summary(out: Path, cfg: ExperimentConfig,
@@ -440,7 +496,7 @@ def run_noncommute(cfg: ExperimentConfig) -> int:
         var = max(m.moment(2) - m.mean() ** 2, 0.0)
         return math.sqrt(var / cfg.n_samples)
 
-    report = {"mu": mu.to_dict(), "mu_star": mu_star.to_dict(),
+    report = {"mu": mu, "mu_star": mu_star,
               "mean_mu": mu.mean(), "se_mu": _se(mu),
               "mean_mu_star": mu_star.mean(), "se_mu_star": _se(mu_star),
               "levy_mu_vs_mu_star": measures.levy_distance(mu, mu_star),

@@ -22,6 +22,7 @@ constructors may rescale.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -161,11 +162,19 @@ class WalkOperator:
             self.states, self.support, self.lift_steps = g.num_half_edges, "edges", 1
             self._fanout = g.degrees_float[g.heads] - 1.0   # choices leaving head(e)
             self._twin = np.arange(g.num_half_edges, dtype=np.int64) ^ 1
-            in_states = g.out_edges ^ 1                     # grouped by head
         else:
             self.states, self.support, self.lift_steps = g.n, "vertices", 0
+
+    @cached_property
+    def _vertex_sums(self) -> _VertexSums:
+        # built on first use: nb `expect` sums by bincount, so nb `bias_all`
+        # needs it only once, in `lifted_mean`, and not at all for k = 0
+        g = self.g
+        if self.kind == "nb":
+            in_states = g.out_edges ^ 1                     # grouped by head
+        else:
             in_states = g.heads[g.out_edges]
-        self._vertex_sums = _VertexSums(g.out_start, in_states)
+        return _VertexSums(g.out_start, in_states)
 
     def _lazy(self, w: np.ndarray, stepped: np.ndarray) -> np.ndarray:
         if self.kind == "lazy":

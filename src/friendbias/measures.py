@@ -115,6 +115,9 @@ class EmpiricalMeasure:
         return float(self.weights[idx:].sum())
 
     def to_dict(self) -> dict:
+        """The JSON model of a measure: `cli._write_json` writes a measure
+        byte for byte as json.dumps(sort_keys=True, indent=1) writes this
+        dict, without building it."""
         return {"atoms": [[float(v), float(w)]
                           for v, w in zip(self.values, self.weights)],
                 "meta": self.meta}

@@ -1,11 +1,16 @@
 import json
+import math
 import re
+import subprocess
+import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from friendbias import build_graph, save_edge_list
+from friendbias import build_graph, cli, save_edge_list
 from friendbias.cli import ExperimentConfig, main, parse_schedule, schedule_k
 from friendbias.measures import EmpiricalMeasure
 from friendbias.stationary import MAX_DENSE_BYTES
@@ -389,3 +394,100 @@ def test_restrict_giant_flag(tmp_path):
     data = json.loads((tmp_path / "out" / "bias_measure.json").read_text())
     assert data["meta"]["config"]["restrict_giant"] is True
     assert data["meta"]["n"] < 120
+
+
+# float reprs change form at these: shortest digits, exponent notation
+# below 1e-4 and from 1e16 on, and the largest magnitudes
+EDGE_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 1e-4, math.nextafter(1e-4, 0.0),
+               math.nextafter(1e-4, 1.0), 1e16, math.nextafter(1e16, 0.0),
+               math.nextafter(1e16, math.inf), -1e16, 1.7976931348623157e308,
+               -1.7976931348623157e308, 2.2250738585072014e-308, 0.1, 1.0]
+
+json_leaves = st.one_of(st.none(), st.booleans(), st.integers(),
+                        st.text(max_size=4),
+                        st.floats(allow_nan=False, allow_infinity=False))
+json_metas = st.dictionaries(
+    st.text(max_size=4),
+    st.recursive(json_leaves,
+                 lambda inner: st.lists(inner, max_size=3)
+                 | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+                 max_leaves=6),
+    max_size=4)
+
+
+@st.composite
+def measures_to_write(draw):
+    size = draw(st.integers(1, 12))
+    values = draw(st.lists(st.sampled_from(EDGE_FLOATS)
+                           | st.floats(allow_nan=False, allow_infinity=False),
+                           min_size=size, max_size=size))
+    weighting = draw(st.sampled_from(["equal", "distinct", "zeros"]))
+    if weighting == "equal":
+        weights = np.full(size, 1.0 / size)
+    else:
+        counts = np.array(draw(st.lists(st.integers(1, 10 ** 6), min_size=size,
+                                        max_size=size, unique=True)), float)
+        weights = counts / counts.sum()
+        if weighting == "zeros":
+            # mass-free atoms keep the sign of their zero weight
+            free = draw(st.lists(st.sampled_from([0.0, -0.0]),
+                                 max_size=size - 1))
+            weights[:len(free)] = free
+            weights[len(free):] /= weights[len(free):].sum()
+    return EmpiricalMeasure(np.array(values), weights, draw(json_metas))
+
+
+def as_dicts(payload):
+    """The payload with its measures, top-level or one deep, as to_dict()."""
+    if isinstance(payload, EmpiricalMeasure):
+        return payload.to_dict()
+    return {key: value.to_dict() if isinstance(value, EmpiricalMeasure)
+            else value for key, value in payload.items()}
+
+
+@settings(max_examples=300, deadline=None)
+@given(payload=st.one_of(
+           measures_to_write(),
+           st.fixed_dictionaries({"mu": measures_to_write(),
+                                  "mu_star": measures_to_write()},
+                                 optional={"config": json_metas,
+                                           "levy": st.floats(0.0, 1.0)})),
+       chunk=st.integers(1, 5))
+def test_write_json_matches_json_dumps(tmp_path_factory, payload, chunk):
+    path = tmp_path_factory.mktemp("json") / "payload.json"
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "ATOM_CHUNK", chunk)
+        cli._write_json(path, payload)
+    want = json.dumps(as_dicts(payload), sort_keys=True, indent=1) + "\n"
+    assert path.read_text() == want
+
+
+def test_write_json_streams_the_atoms(tmp_path):
+    """A 300k-atom measure is written in pieces whose size does not grow
+    with the measure: under 1 MB here, where the to_dict and json.dumps
+    path peaks at over 100 MB."""
+    rng = np.random.default_rng(3)
+    m = EmpiricalMeasure.from_values(rng.normal(size=300_000),
+                                     meta={"n": 300_000})
+    tracemalloc.start()
+    try:
+        cli._write_json(tmp_path / "m.json", m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20
+
+
+def test_mixing_curves_caps_nb_starts_when_2m_can_exceed_the_exact_limit(
+        tmp_path):
+    # CM {3: .5, 4: .5} at n = 1500 has about 5200 nb states, over 4096
+    script = (Path(__file__).resolve().parents[1] / "scripts"
+              / "mixing_curves.py")
+    proc = subprocess.run([sys.executable, str(script), "--n", "1500",
+                           "--k-max", "3", "--out", str(tmp_path)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    for kind in ("bt", "lazy", "nb"):
+        assert (tmp_path / kind / "mixing.csv").is_file()
+        meta = json.loads((tmp_path / kind / "mixing_meta.json").read_text())
+        assert meta["config"]["starts_cap"] == (64 if kind == "nb" else None)
