@@ -8,8 +8,8 @@ from .graph_core import (ComponentInfo, Graph, analyze_components, build_graph,
 from .generators import (GenSpec, erase_to_simple, gen_configuration_model,
                          gen_erdos_renyi, generate, mix_seed, realize,
                          sample_degree_sequence)
-from .kernels import (DistVector, KernelError, WalkOperator, annealed_bias,
-                      bias_all, bias_k, bias_profile)
+from .kernels import (DistVector, KernelError, WalkOperator, bias_all, bias_k,
+                      bias_profile)
 from .measures import EmpiricalMeasure, ks_distance, levy_distance, w1_distance
 from .stationary import (MixingProfile, mixing_profile, mixing_time,
                          pi_component, pi_vertex, stationarity_residual,

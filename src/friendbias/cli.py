@@ -266,7 +266,7 @@ def _replica_graphs(cfg: ExperimentConfig, seed: int, n: int | None = None):
     mix_seed(seed, r) and checked for cfg.kind."""
     for r in range(cfg.replicas):
         g = _realize(cfg, generators.mix_seed(seed, r), n)
-        _check_kind(cfg, g)
+        _check_kind(cfg, g, f"replica {r}: ")
         yield g
 
 
@@ -276,12 +276,12 @@ def _resolve_graph(cfg: ExperimentConfig) -> Graph:
     return _realize(cfg, generators.mix_seed(cfg.seed, 0))
 
 
-def _check_kind(cfg: ExperimentConfig, g: Graph) -> None:
+def _check_kind(cfg: ExperimentConfig, g: Graph, where: str = "") -> None:
     report = validate_for_exploration(g, cfg.kind)
     if not report.ok:
         raise PreconditionError(
-            f"graph invalid for {cfg.kind!r} exploration: {report.message} "
-            f"(vertices {report.violations[:10]})")
+            f"{where}graph invalid for {cfg.kind!r} exploration: "
+            f"{report.message} (vertices {report.violations[:10]})")
 
 
 def _fixed_k(cfg: ExperimentConfig) -> int:
@@ -329,9 +329,13 @@ def run_bias(cfg: ExperimentConfig) -> int:
     _write_measure(out / "bias_measure.json", mus[0], cfg)
     primary = mus[0]
     if cfg.replicas > 1:
-        primary = kernels.pool_replicas(
-            mus, {"k": k, "kind": cfg.kind, "replicas": cfg.replicas,
-                  "annealed": True})
+        primary = measures.EmpiricalMeasure.mixture(
+            mus, meta={"k": k, "kind": cfg.kind, "replicas": cfg.replicas,
+                       "annealed": True})
+        means = [m.mean() for m in mus]
+        primary.meta["mean_bias"] = float(np.mean(means))
+        primary.meta["sem_mean_bias"] = float(np.std(means, ddof=1)
+                                              / np.sqrt(len(means)))
         _write_measure(out / "bias_measure_annealed.json", primary, cfg)
     _write_csv(out / "bias_histogram.csv", cfg, ("bin_left", "bin_right", "mass"),
                primary.histogram(cfg.bins))
@@ -385,7 +389,10 @@ def run_mixing(cfg: ExperimentConfig) -> int:
 def _pmf_law(cfg: ExperimentConfig) -> tree_limits.OffspringLaw:
     if cfg.pmf is None:
         raise ConfigError("this experiment needs a 'pmf'")
-    return tree_limits.OffspringLaw.from_dict(cfg.pmf)
+    try:
+        return tree_limits.OffspringLaw.from_dict(cfg.pmf)
+    except ValueError as exc:
+        raise ConfigError(f"bad pmf: {exc}") from exc
 
 
 def run_limit_mu(cfg: ExperimentConfig) -> int:

@@ -9,11 +9,12 @@ makes replicas independent of execution order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .graph_core import Graph, build_graph, largest_component, sorted_unique
+from .tree_limits import OffspringLaw
 
 RNG_ALGORITHM = "numpy-pcg64"
 SEED_MIX_ALGORITHM = "splitmix64-v1"
@@ -37,21 +38,6 @@ def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed))
 
 
-def _validate_pmf(pmf: dict) -> tuple[np.ndarray, np.ndarray]:
-    if not pmf:
-        raise ValueError("empty pmf")
-    ks = np.array(sorted(int(k) for k in pmf), dtype=np.int64)
-    if ks[0] < 0:
-        raise ValueError("pmf support must be nonnegative integers")
-    ps = np.array([float(pmf[k] if k in pmf else pmf[str(k)]) for k in ks])
-    if np.any(ps < 0):
-        raise ValueError("negative pmf entry")
-    if abs(ps.sum() - 1.0) > 1e-9:
-        raise ValueError(f"pmf sums to {ps.sum()!r}, not 1")
-    keep = ps > 0
-    return ks[keep], ps[keep]
-
-
 @dataclass
 class GenSpec:
     """Serializable description of one random-graph model instance."""
@@ -73,7 +59,7 @@ class GenSpec:
             if self.degree_pmf is None and self.degree_seq is None:
                 raise ValueError("configuration model needs degree_pmf or degree_seq")
             if self.degree_pmf is not None:
-                _validate_pmf(self.degree_pmf)
+                OffspringLaw.from_dict(self.degree_pmf)
             if self.degree_seq is not None:
                 if sum(self.degree_seq) % 2:
                     raise ValueError("explicit degree sequence must have even sum")
@@ -161,9 +147,8 @@ def gen_configuration_model(degree_seq, seed: int) -> Graph:
 def sample_degree_sequence(pmf: dict, n: int, seed: int) -> np.ndarray:
     """n i.i.d. draws from the pmf; if the sum is odd, one uniformly chosen
     vertex is bumped by +1 to restore parity."""
-    ks, ps = _validate_pmf(pmf)
     rng = _rng(seed)
-    draws = rng.choice(ks, size=n, p=ps)
+    draws = OffspringLaw.from_dict(pmf).sample(rng, n)
     if int(draws.sum()) % 2:
         draws[int(rng.integers(n))] += 1
     return draws.astype(np.int64)
@@ -205,10 +190,7 @@ def realize(spec: GenSpec, n_override: int | None = None,
             and int(n_override) != len(spec.degree_seq)):
         raise ValueError("cannot override n for an explicit degree sequence; "
                          "use a degree_pmf for size grids")
-    s = GenSpec(model=spec.model,
-                n=spec.n if n_override is None else int(n_override),
-                lam=spec.lam, degree_pmf=spec.degree_pmf,
-                degree_seq=spec.degree_seq,
+    s = replace(spec, n=spec.n if n_override is None else int(n_override),
                 seed=spec.seed if seed_override is None else int(seed_override))
     g = generate(s)
     if erase:

@@ -26,7 +26,7 @@ from functools import cached_property
 
 import numpy as np
 
-from . import generators, measures
+from . import measures
 from .graph_core import (EXPLORATION_KINDS, ExplorationPreconditionError,
                          Graph, validate_for_exploration)
 
@@ -286,39 +286,3 @@ def bias_profile(g: Graph, k_max: int, kind: str, delta: float = 0.5):
     op = WalkOperator(g, kind, delta)
     for k, y in _levels(op, k_max):
         yield k, op.lifted_mean(y) - g.degrees_float
-
-
-def pool_replicas(parts: list, meta: dict) -> measures.EmpiricalMeasure:
-    """The uniform mixture of per-replica measures, with the mean of the
-    replica means and its standard error in meta["mean_bias"] and
-    meta["sem_mean_bias"]."""
-    pooled = measures.EmpiricalMeasure.mixture(parts, meta=meta)
-    means = [m.mean() for m in parts]
-    pooled.meta["mean_bias"] = float(np.mean(means))
-    pooled.meta["sem_mean_bias"] = (
-        float(np.std(means, ddof=1) / np.sqrt(len(means)))
-        if len(means) > 1 else 0.0)
-    return pooled
-
-
-def annealed_bias(spec: generators.GenSpec, k: int, kind: str,
-                  replicas: int, delta: float = 0.5, erase: bool = False,
-                  restrict_giant: bool = False) -> measures.EmpiricalMeasure:
-    """Monte Carlo estimate of the expected bias distribution: the uniform
-    mixture of quenched distributions over independent graph replicas.
-
-    Replica r uses seed mix_seed(spec.seed, r). Failures carry the replica
-    index in their message.
-    """
-    if replicas < 1:
-        raise ValueError("replicas must be >= 1")
-    parts = []
-    for r in range(replicas):
-        try:
-            g = generators.realize(spec, seed_override=generators.mix_seed(spec.seed, r),
-                                   erase=erase, restrict_giant=restrict_giant)
-            parts.append(bias_all(g, k, kind, delta=delta))
-        except Exception as exc:
-            raise type(exc)(f"replica {r}: {exc}") from exc
-    return pool_replicas(parts, {"k": k, "kind": kind, "replicas": replicas,
-                                 "master_seed": spec.seed, "annealed": True})

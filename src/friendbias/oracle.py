@@ -19,7 +19,8 @@ from math import gcd
 
 import numpy as np
 
-from .graph_core import Graph
+from .generators import gen_configuration_model, gen_erdos_renyi
+from .graph_core import Graph, build_graph
 from .kernels import DistVector, KernelError, SizeGuardError
 
 MAX_ORACLE_VERTICES = 10
@@ -166,9 +167,6 @@ def small_graph_corpus() -> dict:
     with multigraphs exercising the twin-exclusion rule and a few seeded
     random graphs. Each entry stays within the enumeration guard.
     """
-    from .generators import gen_configuration_model, gen_erdos_renyi
-    from .graph_core import build_graph
-
     corpus = {
         "path3": build_graph(3, [(0, 1), (1, 2)]),
         "path4": build_graph(4, [(0, 1), (1, 2), (2, 3)]),

@@ -47,16 +47,17 @@ class OffspringLaw:
             raise ValueError("offspring counts must be nonnegative")
         if np.any(np.diff(self.ks) <= 0):
             raise ValueError("support must be strictly increasing")
-        if np.any(self.ps < 0):
-            raise ValueError("negative pmf entry")
+        if not np.all(np.isfinite(self.ps)) or np.any(self.ps < 0):
+            raise ValueError(f"pmf entries must be finite and nonnegative, "
+                             f"got {self.ps.tolist()}")
         if abs(float(self.ps.sum()) - 1.0) > 1e-9:
             raise ValueError(f"pmf sums to {self.ps.sum()!r}, not 1")
 
     @classmethod
     def from_dict(cls, pmf: dict, meta=None) -> "OffspringLaw":
         items = sorted((int(k), float(v)) for k, v in pmf.items())
-        ks = np.array([k for k, v in items if v > 0], dtype=np.int64)
-        ps = np.array([v for _, v in items if v > 0])
+        ks = np.array([k for k, v in items if v != 0], dtype=np.int64)
+        ps = np.array([v for _, v in items if v != 0])
         return cls(ks=ks, ps=ps, meta=dict(meta or {}))
 
     def to_dict(self) -> dict:
@@ -81,10 +82,6 @@ class OffspringLaw:
     @property
     def variance(self) -> float:
         return self.m2 - self.m1 ** 2
-
-    @property
-    def min_k(self) -> int:
-        return int(self.ks[0])
 
     @cached_property
     def size_biased(self) -> "OffspringLaw":

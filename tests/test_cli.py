@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from friendbias import build_graph, cli, save_edge_list
+from friendbias import (GenSpec, bias_all, build_graph, cli, mix_seed,
+                        realize, save_edge_list)
 from friendbias.cli import ExperimentConfig, main, parse_schedule, schedule_k
 from friendbias.measures import EmpiricalMeasure
 from friendbias.stationary import MAX_DENSE_BYTES
@@ -71,6 +72,103 @@ def test_bias_regular_cm_family(tmp_path):
     nonneg = float(rows[2].split(",")[6])
     assert abs(mean) <= 1e-10
     assert nonneg == pytest.approx(1.0, abs=1e-12)
+
+
+def _pooled_regular_bias(tmp_path, n, **extra):
+    tmp_path.mkdir(exist_ok=True)
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, "cfg.json", experiment="bias",
+                       gen={"model": "configuration", "n": n,
+                            "degree_seq": [3] * n},
+                       out=str(out), **extra)
+    assert main(["bias", "--config", cfg]) == 0
+    return EmpiricalMeasure.load_json(out / "bias_measure_annealed.json")
+
+
+def test_bias_annealed_regular_family_zero_bias(tmp_path):
+    # master seed 80: both replicas of CM([3]*40) happen to be simple, so the
+    # erased graphs stay 3-regular and every bias vanishes exactly
+    for k in (1, 2, 3):
+        pooled = _pooled_regular_bias(tmp_path / f"k{k}", 40, erase=True,
+                                      kind="bt", k=k, seed=80, replicas=2)
+        assert abs(pooled.meta["mean_bias"]) < 1e-12
+        assert np.abs(pooled.values).max() < 1e-12
+
+
+def test_bias_annealed_regular_multigraph_any_seed(tmp_path):
+    # without erasure the multigraph keeps all degrees exactly 3
+    pooled = _pooled_regular_bias(tmp_path, 30, kind="nb", k=4, seed=5,
+                                  replicas=3)
+    assert np.abs(pooled.values).max() < 1e-12
+
+
+def test_bias_single_replica_equals_quenched(tmp_path):
+    cfg = write_config(tmp_path, "cfg.json", experiment="bias",
+                       gen={"model": "configuration", "n": 40,
+                            "degree_pmf": {"3": 0.5, "4": 0.5}},
+                       kind="nb", k=2, seed=12, out=str(tmp_path / "out"))
+    assert main(["bias", "--config", cfg]) == 0
+    m = EmpiricalMeasure.load_json(tmp_path / "out" / "bias_measure.json")
+    spec = GenSpec(model="configuration", n=40, degree_pmf={3: 0.5, 4: 0.5})
+    direct = bias_all(realize(spec, seed_override=mix_seed(12, 0)), 2, "nb")
+    assert np.array_equal(m.values, direct.values)
+    assert np.array_equal(m.weights, direct.weights)
+
+
+def test_bias_er_level1_matches_closed_form(tmp_path):
+    # per-replica oracle: level-1 average bias has the closed form
+    # sum over edges of (d_u/d_v + d_v/d_u - 2) / n
+    replicas = 100
+    cfg = write_config(tmp_path, "cfg.json", experiment="bias",
+                       gen={"model": "erdos_renyi", "n": 500, "lam": 4.0},
+                       restrict_giant=True, kind="bt", k=1, seed=2024,
+                       replicas=replicas, out=str(tmp_path / "out"))
+    assert main(["bias", "--config", cfg]) == 0
+    pooled = EmpiricalMeasure.load_json(
+        tmp_path / "out" / "bias_measure_annealed.json")
+    spec = GenSpec(model="erdos_renyi", n=500, lam=4.0)
+    oracle_means = []
+    for r in range(replicas):
+        g = realize(spec, seed_override=mix_seed(2024, r), restrict_giant=True)
+        d = g.degrees_float
+        s = sum(d[u] / d[v] + d[v] / d[u] - 2.0 for u, v in g.edges.tolist())
+        oracle_means.append(s / g.n)
+    mean_bias = pooled.meta["mean_bias"]
+    assert mean_bias == pytest.approx(float(np.mean(oracle_means)), abs=1e-10)
+    # the infinite-n value is Var/mean of the Poisson(lam) limit = 1; at
+    # n = 500 the giant-conditioning correction is a few percent
+    assert 0.85 < mean_bias < 1.05
+
+
+def test_bias_replica_error_names_the_replica(tmp_path, capsys):
+    cfg = write_config(tmp_path, "cfg.json", experiment="bias",
+                       gen={"model": "configuration", "n": 6,
+                            "degree_seq": [1] * 6},
+                       kind="nb", k=2, replicas=2, seed=3,
+                       out=str(tmp_path / "out"))
+    assert main(["bias", "--config", cfg]) == 3
+    assert ("precondition violation: replica 0: graph invalid for 'nb' "
+            "exploration" in capsys.readouterr().err)
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("experiment, extra", [
+    ("limit-mu", {"pmf": {"3": 0.5, "4": 0.5, "5": math.nan}}),
+    ("limit-mu", {"pmf": {"3": 0.5, "4": 0.5, "5": -1e-12}}),
+    ("noncommute", {"pmf": {"1": 0.75, "2": 0.25, "3": math.nan}}),
+    ("bias", {"gen": {"model": "configuration", "n": 40,
+                      "degree_pmf": {"3": 0.5, "4": 0.5, "5": math.nan}},
+              "kind": "nb", "k": 2}),
+])
+def test_bad_pmf_entry_exits_2(tmp_path, capsys, experiment, extra):
+    # json writes and reads NaN, so a config file can hold one
+    cfg = write_config(tmp_path, "cfg.json", experiment=experiment,
+                       n_samples=100, out=str(tmp_path / "out"), **extra)
+    assert main([experiment, "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert "config error: bad " in err
+    assert "pmf entries must be finite and nonnegative" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_bias_invalid_kind_exits_3(tmp_path, capsys):

@@ -3,9 +3,9 @@ import itertools
 import numpy as np
 import pytest
 
-from friendbias import (GenSpec, erase_to_simple, gen_configuration_model,
-                        gen_erdos_renyi, generate, mix_seed,
-                        sample_degree_sequence)
+from friendbias import (GenSpec, OffspringLaw, erase_to_simple,
+                        gen_configuration_model, gen_erdos_renyi, generate,
+                        mix_seed, sample_degree_sequence)
 
 
 def test_er_deterministic():
@@ -122,10 +122,15 @@ def test_degree_sequence_frequencies():
 
 
 def test_pmf_validation():
-    with pytest.raises(ValueError):
-        sample_degree_sequence({3: 0.7, 4: 0.7}, 10, 0)
-    with pytest.raises(ValueError):
-        sample_degree_sequence({-1: 1.0}, 10, 0)
+    # NaN, inf and tiny negative entries are refused, not dropped
+    for pmf in ({3: 0.7, 4: 0.7}, {-1: 1.0}, {3: 1.0, 4: float("nan")},
+                {3: 1.0, 4: float("inf")}, {3: 1.0, 4: -1e-12}):
+        with pytest.raises(ValueError):
+            sample_degree_sequence(pmf, 10, 0)
+        with pytest.raises(ValueError):
+            GenSpec(model="configuration", n=10, degree_pmf=pmf)
+        with pytest.raises(ValueError):
+            OffspringLaw.from_dict(pmf)
 
 
 def test_genspec_round_trip_and_determinism():

@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from friendbias import (DistVector, EmpiricalMeasure, GenSpec, WalkOperator,
-                        annealed_bias, bias_all, bias_k, build_graph,
-                        validate_for_exploration)
+from friendbias import (DistVector, EmpiricalMeasure, WalkOperator, bias_all,
+                        bias_k, build_graph, validate_for_exploration)
 from friendbias.kernels import KernelError, _k_step_dist, _VertexSums
 from friendbias.oracle import small_graph_corpus
 
@@ -244,57 +243,3 @@ def test_vertex_sums_match_reduceat_bit_for_bit(seed, degrees, rows):
         got = sums(arr)
         assert got.shape == want.shape
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
-
-
-def test_annealed_single_replica_equals_quenched():
-    spec = GenSpec(model="configuration", n=40, degree_pmf={3: 0.5, 4: 0.5},
-                   seed=12)
-    res = annealed_bias(spec, 2, "nb", 1)
-    from friendbias import realize, mix_seed
-    g = realize(spec, seed_override=mix_seed(12, 0))
-    direct = bias_all(g, 2, "nb")
-    assert np.array_equal(res.values, direct.values)
-    assert np.array_equal(res.weights, direct.weights)
-
-
-def test_annealed_regular_family_zero_bias():
-    # master seed 80: both replicas of CM([3]*40) happen to be simple, so the
-    # erased graphs stay 3-regular and every bias vanishes exactly
-    spec = GenSpec(model="configuration", n=40, degree_seq=[3] * 40, seed=80)
-    for k in (1, 2, 3):
-        res = annealed_bias(spec, k, "bt", 2, erase=True)
-        assert abs(res.meta["mean_bias"]) < 1e-12
-        assert np.abs(res.values).max() < 1e-12
-
-
-def test_annealed_regular_multigraph_any_seed():
-    # without erasure the multigraph keeps all degrees exactly 3
-    spec = GenSpec(model="configuration", n=30, degree_seq=[3] * 30, seed=5)
-    res = annealed_bias(spec, 4, "nb", 3)
-    assert np.abs(res.values).max() < 1e-12
-
-
-def test_annealed_er_level1_matches_closed_form():
-    # per-replica oracle: level-1 average bias has the closed form
-    # sum over edges of (d_u/d_v + d_v/d_u - 2) / n
-    from friendbias import realize, mix_seed
-    spec = GenSpec(model="erdos_renyi", n=500, lam=4.0, seed=2024)
-    replicas = 100
-    res = annealed_bias(spec, 1, "bt", replicas, restrict_giant=True)
-    oracle_means = []
-    for r in range(replicas):
-        g = realize(spec, seed_override=mix_seed(2024, r), restrict_giant=True)
-        d = g.degrees_float
-        s = sum(d[u] / d[v] + d[v] / d[u] - 2.0 for u, v in g.edges.tolist())
-        oracle_means.append(s / g.n)
-    assert res.meta["mean_bias"] == pytest.approx(float(np.mean(oracle_means)), abs=1e-10)
-    # the infinite-n value is Var/mean of the Poisson(lam) limit = 1; at
-    # n = 500 the giant-conditioning correction is a few percent
-    assert 0.85 < res.meta["mean_bias"] < 1.05
-
-
-def test_annealed_replica_errors_carry_index():
-    spec = GenSpec(model="configuration", n=6, degree_seq=[1, 1, 1, 1, 1, 1],
-                   seed=3)
-    with pytest.raises(KernelError, match="replica 0"):
-        annealed_bias(spec, 2, "nb", 2)
