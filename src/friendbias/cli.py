@@ -104,7 +104,19 @@ class ExperimentConfig:
     def from_dict(cls, d: dict) -> "ExperimentConfig":
         d = dict(d)
         if d.get("pmf") is not None:
-            d["pmf"] = {int(k): float(v) for k, v in d["pmf"].items()}
+            if not isinstance(d["pmf"], dict):
+                raise ConfigError(
+                    f"bad pmf: expected an object of degree: probability "
+                    f"entries, got {d['pmf']!r}")
+            pmf = {}
+            for k, v in d["pmf"].items():
+                try:
+                    pmf[int(k)] = float(v)
+                except (TypeError, ValueError) as exc:
+                    raise ConfigError(
+                        f"bad pmf: entry {k!r}: {v!r} needs an integer "
+                        f"degree and a numeric probability") from exc
+            d["pmf"] = pmf
         known = {f for f in cls.__dataclass_fields__}
         unknown = set(d) - known
         if unknown:

@@ -68,11 +68,14 @@ class EmpiricalMeasure:
             raise ValueError("empty measure")
         _require_finite("values", v)
         if weights is None:
+            # equal weights need no permutation; a stable sort orders the
+            # values, -0.0 and 0.0 included, as the argsort below would
+            v = np.sort(v, kind="stable")
             w = np.full(v.size, 1.0 / v.size)
         else:
             w = np.asarray(weights, dtype=np.float64).ravel()
-        order = np.argsort(v, kind="stable")
-        v, w = v[order], w[order]
+            order = np.argsort(v, kind="stable")
+            v, w = v[order], w[order]
         if v.size > 1:
             new_group = np.empty(v.size, dtype=bool)
             new_group[0] = True
@@ -101,13 +104,9 @@ class EmpiricalMeasure:
 
     def cdf(self, xs) -> np.ndarray:
         """Right-continuous CDF evaluated at the points `xs`."""
-        cw = np.cumsum(self.weights)
-        idx = np.searchsorted(self.values, np.asarray(xs, dtype=np.float64),
-                              side="right")
-        out = np.zeros(np.shape(xs), dtype=np.float64)
-        nz = idx > 0
-        out[nz] = cw[idx[nz] - 1]
-        return out
+        cum = np.concatenate(([0.0], np.cumsum(self.weights)))
+        return cum[np.searchsorted(self.values, np.asarray(xs, dtype=np.float64),
+                                   side="right")]
 
     def mass_at_least(self, x: float) -> float:
         """Mass of [x, inf); `mass_at_least(0.0)` is the nonnegative fraction."""
@@ -161,19 +160,39 @@ def levy_distance(a: EmpiricalMeasure, b: EmpiricalMeasure) -> float:
     For step CDFs both one-sided conditions reduce to checks at the atoms:
     F_a(u) <= F_b(u+eps)+eps at every atom u of a, and symmetrically. The
     infimum is found by bisection to 1e-12 resolution.
+
+    Each side tests only its active atoms, those that may still violate.
+    An atom that holds at some eps holds at every larger eps: u + eps,
+    `searchsorted`, the cumulative sums of nonnegative weights and
+    `+ eps + 1e-15` are all monotone in floating point. Every later
+    midpoint lies above `lo`, so after an infeasible step at `mid` (which
+    becomes `lo`) a side keeps only the atoms that violated at `mid`; a
+    feasible step drops nothing. The midpoints, every decision and the
+    returned `hi` are those of testing every atom at every step.
     """
     _check_pair(a, b)
-    # everything that does not depend on eps is computed once per call
+    # everything that does not depend on eps is computed once per call; the
+    # CDFs come first, as the cumulative sums would add to their peak memory
     fa_at, fb_at = a.cdf(a.values), b.cdf(b.values)
     cum_a = np.concatenate(([0.0], np.cumsum(a.weights)))
     cum_b = np.concatenate(([0.0], np.cumsum(b.weights)))
+    # per side: its active atoms, its CDF there, and the other measure
+    sides = [[a.values, fa_at, b.values, cum_b],
+             [b.values, fb_at, a.values, cum_a]]
 
     def feasible(eps: float) -> bool:
-        fb_shift = cum_b[np.searchsorted(b.values, a.values + eps, side="right")]
-        if np.any(fa_at > fb_shift + eps + 1e-15):
-            return False
-        fa_shift = cum_a[np.searchsorted(a.values, b.values + eps, side="right")]
-        return not np.any(fb_at > fa_shift + eps + 1e-15)
+        """Test eps on the active atoms; if it fails, prune the side that
+        failed to its violators."""
+        for side in sides:
+            u, f_at, other, cum_other = side
+            # one expression, so that its temporaries are freed before a prune
+            # allocates the violators (this bounds the peak memory of a call)
+            bad = f_at > (cum_other[np.searchsorted(other, u + eps, side="right")]
+                          + eps + 1e-15)
+            if bad.any():
+                side[0], side[1] = u[bad], f_at[bad]
+                return False
+        return True
 
     if feasible(0.0):
         return 0.0
@@ -187,21 +206,38 @@ def levy_distance(a: EmpiricalMeasure, b: EmpiricalMeasure) -> float:
     return hi
 
 
+def _cdf_gap(a: EmpiricalMeasure, b: EmpiricalMeasure):
+    """The union grid of both measures' atoms and |F_a - F_b| on it.
+
+    The grid is np.union1d(a.values, b.values) up to the sign of zero,
+    merged from the two sorted arrays instead of sorted again.
+    """
+    _check_pair(a, b)
+    u, v = a.values, b.values
+    if u.size < v.size:
+        u, v = v, u   # inserting the shorter array into the longer is cheaper
+    pos = np.searchsorted(u, v)
+    new = u[np.minimum(pos, u.size - 1)] != v
+    grid = np.insert(u, pos[new], v[new])
+    # values repeat only in a measure built directly, e.g. by `from_dict`
+    distinct = grid[1:] != grid[:-1]
+    if not distinct.all():
+        grid = grid[np.concatenate(([True], distinct))]
+    return grid, np.abs(a.cdf(grid) - b.cdf(grid))
+
+
 def ks_distance(a: EmpiricalMeasure, b: EmpiricalMeasure) -> float:
     """Kolmogorov-Smirnov distance: sup of the CDF gap (attained at atoms)."""
-    _check_pair(a, b)
-    grid = np.union1d(a.values, b.values)
-    return float(np.max(np.abs(a.cdf(grid) - b.cdf(grid))))
+    _, gap = _cdf_gap(a, b)
+    return float(np.max(gap))
 
 
 def w1_distance(a: EmpiricalMeasure, b: EmpiricalMeasure) -> float:
     """1-Wasserstein distance: integral of |F_a - F_b|."""
-    _check_pair(a, b)
-    grid = np.union1d(a.values, b.values)
+    grid, gap = _cdf_gap(a, b)
     if grid.size < 2:
         return 0.0
-    gap = np.abs(a.cdf(grid[:-1]) - b.cdf(grid[:-1]))
-    return float(np.dot(gap, np.diff(grid)))
+    return float(np.dot(gap[:-1], np.diff(grid)))
 
 
 DISTANCES = {"levy": levy_distance, "ks": ks_distance, "w1": w1_distance}

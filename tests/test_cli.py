@@ -171,6 +171,19 @@ def test_bad_pmf_entry_exits_2(tmp_path, capsys, experiment, extra):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("pmf, cause", [
+    ({"3.5": 1.0}, "entry '3.5': 1.0 needs an integer degree"),
+    ({"3": "abc"}, "entry '3': 'abc' needs an integer degree"),
+    ([0.5, 0.5], "expected an object of degree: probability entries"),
+])
+def test_unparsable_pmf_exits_2(tmp_path, capsys, pmf, cause):
+    cfg = write_config(tmp_path, "cfg.json", experiment="limit-mu", pmf=pmf,
+                       n_samples=100, out=str(tmp_path / "out"))
+    assert main(["limit-mu", "--config", cfg]) == 2
+    assert f"config error: bad pmf: {cause}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_bias_invalid_kind_exits_3(tmp_path, capsys):
     path3 = build_graph(3, [(0, 1), (1, 2)])
     save_edge_list(path3, tmp_path / "p3.edges")

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from friendbias.measures import (EmpiricalMeasure, NonFiniteMeasureError,
-                                 ks_distance, levy_distance, w1_distance)
+from friendbias.measures import (MERGE_TOL, EmpiricalMeasure,
+                                 NonFiniteMeasureError, ks_distance,
+                                 levy_distance, w1_distance)
+from levy_reference import levy_distance_full
 
 
 def measure(vals, weights=None, **meta):
@@ -119,6 +121,93 @@ def test_merging_does_not_change_distances(a, b):
         np.concatenate([ma.weights / 2, ma.weights / 2]))
     for dist in (levy_distance, ks_distance, w1_distance):
         assert dist(dup, mb) == pytest.approx(dist(ma, mb), abs=1e-12)
+
+
+# a shared grid makes atoms common to both measures likely; the nudges put
+# atoms just past the merge distance from each other
+GRID = [-3.0, -1.0, -0.0, 0.0, 0.25, 0.5, 1.0, 2.5, 7.0]
+NUDGES = [0.0, 0.0, 1.5 * MERGE_TOL, -1.5 * MERGE_TOL, 3 * MERGE_TOL]
+
+
+@st.composite
+def grid_measures(draw, max_atoms=8):
+    n = draw(st.integers(1, max_atoms))
+    vals = draw(st.lists(st.sampled_from(GRID) | st.floats(-10, 10),
+                         min_size=n, max_size=n))
+    nudges = draw(st.lists(st.sampled_from(NUDGES), min_size=n, max_size=n))
+    ws = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=n,
+                                max_size=n)))
+    return EmpiricalMeasure.from_values(np.add(vals, nudges), ws / ws.sum())
+
+
+def levy_pair(data, family):
+    if family == "identical":
+        a = data.draw(grid_measures())
+        return a, EmpiricalMeasure(a.values.copy(), a.weights.copy())
+    if family == "repeated":
+        # repeated values, as `from_dict` may load them: F at an atom is the
+        # mass up to the end of its run
+        a = data.draw(grid_measures())
+        raw = EmpiricalMeasure(np.repeat(a.values, 2), np.repeat(a.weights / 2, 2))
+        return raw, data.draw(grid_measures())
+    if family == "far_diracs":
+        x = data.draw(st.floats(-5, 5))
+        gap = data.draw(st.floats(1.0, 100.0))
+        return measure([x]), measure([x + gap])
+    if family == "mixture":
+        parts = data.draw(st.lists(grid_measures(), min_size=2, max_size=4))
+        b = data.draw(st.sampled_from(parts) | grid_measures())
+        return EmpiricalMeasure.mixture(parts), b
+    if family == "large":
+        # several thousand atoms against a few, as mu_k against its limit
+        seed = data.draw(st.integers(0, 2 ** 32 - 1))
+        size = data.draw(st.integers(2000, 6000))
+        scale = data.draw(st.sampled_from([0.01, 0.3, 2.0]))
+        vals = np.random.default_rng(seed).normal(0.0, scale, size)
+        return measure(vals), data.draw(grid_measures(max_atoms=4))
+    return data.draw(grid_measures()), data.draw(grid_measures())
+
+
+@pytest.mark.parametrize("family", ["random", "identical", "repeated",
+                                    "far_diracs", "mixture", "large"])
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_levy_matches_the_full_bisection(family, data):
+    # pruning the atoms that already hold keeps every bisection decision,
+    # so the result has the reference's bits in either argument order
+    a, b = levy_pair(data, family)
+    for x, y in ((a, b), (b, a)):
+        d = levy_distance(x, y)
+        assert d.hex() == levy_distance_full(x, y).hex()
+        if family == "identical":
+            assert d == 0.0
+        if family == "far_diracs":
+            assert d == 1.0
+
+
+def test_from_values_unweighted_sorts_like_argsort():
+    # signed zeros compare equal, so only a stable sort keeps their order
+    vals = np.array([0.0, -0.0, 1.0, -0.0, 0.0, -2.5, 0.0, -0.0] * 3)
+    m = EmpiricalMeasure.from_values(vals)
+    weighted = EmpiricalMeasure.from_values(vals, np.full(vals.size,
+                                                          1.0 / vals.size))
+    assert m.values.tobytes() == weighted.values.tobytes()
+    assert m.weights.tobytes() == weighted.weights.tobytes()
+    assert np.signbit(m.values).tolist() == [True, False, False]
+
+
+@given(atoms, atoms)
+@settings(max_examples=50, deadline=None)
+def test_ks_and_w1_match_the_union1d_grid(a, b):
+    ma, mb = _normalize(a), _normalize(b)
+    # repeated values, as `from_dict` may load them, must not repeat in the grid
+    raw = EmpiricalMeasure(np.repeat(ma.values, 2), np.repeat(ma.weights / 2, 2))
+    for x, y in ((ma, mb), (mb, ma), (raw, mb), (mb, raw)):
+        grid = np.union1d(x.values, y.values)
+        gap = np.abs(x.cdf(grid) - y.cdf(grid))
+        assert ks_distance(x, y) == float(np.max(gap))
+        want = float(np.dot(gap[:-1], np.diff(grid))) if grid.size > 1 else 0.0
+        assert w1_distance(x, y) == want
 
 
 def test_mixture_pools_equal_mass_parts():
