@@ -9,6 +9,7 @@ makes replicas independent of execution order.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -53,8 +54,8 @@ class GenSpec:
         if self.model not in ("erdos_renyi", "configuration"):
             raise ValueError(f"unknown model {self.model!r}")
         if self.model == "erdos_renyi":
-            if self.lam is None or self.lam <= 0:
-                raise ValueError("erdos_renyi requires lam > 0")
+            if not isinstance(self.lam, numbers.Real) or self.lam <= 0:
+                raise ValueError(f"erdos_renyi requires lam > 0, got {self.lam!r}")
         else:
             if self.degree_pmf is None and self.degree_seq is None:
                 raise ValueError("configuration model needs degree_pmf or degree_seq")
@@ -80,9 +81,18 @@ class GenSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "GenSpec":
+        if not isinstance(d, dict):
+            raise ValueError(f"expected an object, got {d!r}")
+        missing = [key for key in ("model", "n") if key not in d]
+        if missing:
+            raise ValueError(f"missing keys {missing}")
         pmf = d.get("degree_pmf")
         if pmf is not None:
-            pmf = {int(k): float(v) for k, v in pmf.items()}
+            try:
+                pmf = {int(k): float(v) for k, v in pmf.items()}
+            except (AttributeError, TypeError, ValueError) as exc:
+                raise ValueError(f"degree_pmf needs integer degrees and numeric "
+                                 f"probabilities, got {pmf!r}") from exc
         return cls(model=d["model"], n=int(d["n"]), lam=d.get("lam"),
                    degree_pmf=pmf, degree_seq=d.get("degree_seq"),
                    seed=int(d.get("seed", 0)))

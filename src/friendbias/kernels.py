@@ -64,11 +64,6 @@ class DistVector:
     def uniform(cls, kind: str, size: int) -> "DistVector":
         return cls(kind, np.full(size, 1.0 / size))
 
-    @classmethod
-    def normalized(cls, kind: str, weights) -> "DistVector":
-        w = np.asarray(weights, dtype=np.float64)
-        return cls(kind, w / w.sum())
-
 
 class SizeGuardError(ValueError):
     """An instance exceeds a fixed size guard (oracle enumeration, dense

@@ -1,8 +1,11 @@
 """Finite empirical measures on the real line and distances between them.
 
-Atoms are kept sorted ascending with values closer than 1e-12 merged (the
-merge absorbs kernel arithmetic noise; the representative is the smallest
-value of the merged run). Total weight must be 1 up to 1e-12.
+A measure's atoms are strictly increasing and its total weight is 1 up to
+1e-12; the constructor refuses anything else, so every CDF, tail mass and
+distance below may rely on sorted, distinct atoms. `from_values` builds a
+measure from arbitrary values: it sorts them and merges values closer than
+1e-12 (the merge absorbs kernel arithmetic noise; the representative is the
+smallest value of the merged run).
 
 The Levy metric is used wherever weak convergence is quantified: on the real
 line it metrises the same topology as the Prohorov metric and is exactly
@@ -55,6 +58,13 @@ class EmpiricalMeasure:
         total = float(self.weights.sum())
         if abs(total - 1.0) > WEIGHT_TOL:
             raise ValueError(f"weights sum to {total!r}, not 1")
+        rising = self.values[1:] > self.values[:-1]
+        if not rising.all():
+            i = int(np.argmin(rising)) + 1
+            raise ValueError(
+                f"atoms must be strictly increasing: values[{i - 1}] = "
+                f"{float(self.values[i - 1])!r}, values[{i}] = "
+                f"{float(self.values[i])!r}")
 
     @classmethod
     def from_values(cls, values, weights=None, meta=None) -> "EmpiricalMeasure":
@@ -148,12 +158,6 @@ class EmpiricalMeasure:
                 for i in range(len(edges) - 1)]
 
 
-def _check_pair(a: EmpiricalMeasure, b: EmpiricalMeasure) -> None:
-    for m in (a, b):
-        if abs(float(m.weights.sum()) - 1.0) > WEIGHT_TOL:
-            raise ValueError("unnormalized measure")
-
-
 def levy_distance(a: EmpiricalMeasure, b: EmpiricalMeasure) -> float:
     """Levy metric: inf{eps : F_a(x-eps)-eps <= F_b(x) <= F_a(x+eps)+eps}.
 
@@ -170,15 +174,13 @@ def levy_distance(a: EmpiricalMeasure, b: EmpiricalMeasure) -> float:
     feasible step drops nothing. The midpoints, every decision and the
     returned `hi` are those of testing every atom at every step.
     """
-    _check_pair(a, b)
-    # everything that does not depend on eps is computed once per call; the
-    # CDFs come first, as the cumulative sums would add to their peak memory
-    fa_at, fb_at = a.cdf(a.values), b.cdf(b.values)
+    # everything that does not depend on eps is computed once per call; as
+    # the atoms are distinct, a measure's CDF at its atoms is cum[1:]
     cum_a = np.concatenate(([0.0], np.cumsum(a.weights)))
     cum_b = np.concatenate(([0.0], np.cumsum(b.weights)))
     # per side: its active atoms, its CDF there, and the other measure
-    sides = [[a.values, fa_at, b.values, cum_b],
-             [b.values, fb_at, a.values, cum_a]]
+    sides = [[a.values, cum_a[1:], b.values, cum_b],
+             [b.values, cum_b[1:], a.values, cum_a]]
 
     def feasible(eps: float) -> bool:
         """Test eps on the active atoms; if it fails, prune the side that
@@ -212,17 +214,12 @@ def _cdf_gap(a: EmpiricalMeasure, b: EmpiricalMeasure):
     The grid is np.union1d(a.values, b.values) up to the sign of zero,
     merged from the two sorted arrays instead of sorted again.
     """
-    _check_pair(a, b)
     u, v = a.values, b.values
     if u.size < v.size:
         u, v = v, u   # inserting the shorter array into the longer is cheaper
     pos = np.searchsorted(u, v)
     new = u[np.minimum(pos, u.size - 1)] != v
     grid = np.insert(u, pos[new], v[new])
-    # values repeat only in a measure built directly, e.g. by `from_dict`
-    distinct = grid[1:] != grid[:-1]
-    if not distinct.all():
-        grid = grid[np.concatenate(([True], distinct))]
     return grid, np.abs(a.cdf(grid) - b.cdf(grid))
 
 

@@ -203,10 +203,7 @@ def bt_avg_bias_is_zero(g: Graph, k: int) -> bool:
     matrix, so sum((L P)^k d) == L^k sum(d) decides equality without any
     floating point. Intended for exhaustive sweeps over small graphs.
     """
-    if g.has_self_loops():
-        raise KernelError("backtracking walks undefined on graphs with self-loops")
-    if g.n == 0 or int(g.degrees.min()) == 0:
-        raise KernelError("backtracking walks undefined with isolated vertices")
+    _check_kind(g, "bt")
     L = _lcm_of(g.degrees)
     nbrs = g.heads[g.out_edges].tolist()   # neighbours, grouped by vertex
     start = g.out_start.tolist()

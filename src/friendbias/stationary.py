@@ -60,21 +60,20 @@ def stationary_bias(g: Graph, scope: str = "global") -> EmpiricalMeasure:
     the moment ratio by that of the component containing i, which is the
     long-level limit of the lazy walk on disconnected graphs.
     """
+    if scope not in ("global", "component"):
+        raise ValueError(f"unknown scope {scope!r}")
+    if g.n == 0 or int(g.degrees.min()) == 0:
+        raise KernelError("stationary law undefined: isolated vertex present")
     degf = g.degrees_float
     if scope == "global":
-        pi_vertex(g)  # surfaces the isolated-vertex error
         ratio = float(np.dot(degf, degf) / degf.sum())
         deltas = ratio - degf
-    elif scope == "component":
-        if int(g.degrees.min()) == 0:
-            raise KernelError("stationary law undefined: isolated vertex present")
+    else:
         info = analyze_components(g)
         comp = info.component_id
         d2 = np.bincount(comp, weights=degf * degf)
         d1 = np.asarray(info.degree_sums, dtype=np.float64)
         deltas = (d2 / d1)[comp] - degf
-    else:
-        raise ValueError(f"unknown scope {scope!r}")
     m = EmpiricalMeasure.from_values(deltas, meta={"n": g.n, "scope": scope,
                                                    "kind": "stationary"})
     m.meta["mean_bias"] = m.mean()
@@ -117,9 +116,6 @@ class MixingProfile:
     states: int
     starts_used: int
     D_vertex_values: list[float] | None = None
-
-    def first_crossing(self, eps: float):
-        return self.crossings.get(eps)
 
 
 def _pick_starts(n_states: int, starts_cap) -> np.ndarray:
@@ -213,7 +209,7 @@ def mixing_time(g: Graph, kind: str, eps: float, k_max: int,
     stationarity is at most eps, or None; it stops stepping there.
 
     Equals mixing_profile(g, kind, k_max, (eps,), delta,
-    starts_cap).first_crossing(eps), without the nb vertex curve.
+    starts_cap).crossings.get(eps), without the nb vertex curve.
     """
     op = WalkOperator(g, kind, delta)
     for k, dv, _ in _tv_levels(op, k_max, starts_cap, vertex_curve=False):

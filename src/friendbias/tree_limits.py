@@ -79,10 +79,6 @@ class OffspringLaw:
                              "offspring mean is zero")
         return self.m2 / self.m1
 
-    @property
-    def variance(self) -> float:
-        return self.m2 - self.m1 ** 2
-
     @cached_property
     def size_biased(self) -> "OffspringLaw":
         """p*, derived on first use and kept."""

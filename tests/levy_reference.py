@@ -6,11 +6,10 @@ may still violate and must return the same float bit for bit.
 
 import numpy as np
 
-from friendbias.measures import LEVY_RESOLUTION, EmpiricalMeasure, _check_pair
+from friendbias.measures import LEVY_RESOLUTION, EmpiricalMeasure
 
 
 def levy_distance_full(a: EmpiricalMeasure, b: EmpiricalMeasure) -> float:
-    _check_pair(a, b)
     # everything that does not depend on eps is computed once per call
     fa_at, fb_at = a.cdf(a.values), b.cdf(b.values)
     cum_a = np.concatenate(([0.0], np.cumsum(a.weights)))

@@ -184,6 +184,22 @@ def test_unparsable_pmf_exits_2(tmp_path, capsys, pmf, cause):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("gen, cause", [
+    ({"model": "configuration", "n": 40, "degree_pmf": {"3": None}},
+     "degree_pmf needs integer degrees and numeric probabilities"),
+    ({"model": "erdos_renyi", "n": 40, "lam": "abc"},
+     "erdos_renyi requires lam > 0, got 'abc'"),
+    ({"model": "erdos_renyi", "lam": 2.0}, "missing keys ['n']"),
+    (5, "expected an object, got 5"),
+], ids=["degree_pmf", "lam", "n", "not_an_object"])
+def test_malformed_gen_spec_exits_2(tmp_path, capsys, gen, cause):
+    cfg = write_config(tmp_path, "cfg.json", experiment="bias", gen=gen,
+                       kind="bt", k=2, out=str(tmp_path / "out"))
+    assert main(["bias", "--config", cfg]) == 2
+    assert f"config error: bad gen spec: {cause}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_bias_invalid_kind_exits_3(tmp_path, capsys):
     path3 = build_graph(3, [(0, 1), (1, 2)])
     save_edge_list(path3, tmp_path / "p3.edges")
@@ -529,9 +545,12 @@ json_metas = st.dictionaries(
 @st.composite
 def measures_to_write(draw):
     size = draw(st.integers(1, 12))
-    values = draw(st.lists(st.sampled_from(EDGE_FLOATS)
-                           | st.floats(allow_nan=False, allow_infinity=False),
-                           min_size=size, max_size=size))
+    # a measure's atoms are strictly increasing; unique=True also keeps
+    # -0.0 and 0.0 from both being drawn, as they compare equal
+    values = sorted(draw(st.lists(
+        st.sampled_from(EDGE_FLOATS)
+        | st.floats(allow_nan=False, allow_infinity=False),
+        min_size=size, max_size=size, unique=True)))
     weighting = draw(st.sampled_from(["equal", "distinct", "zeros"]))
     if weighting == "equal":
         weights = np.full(size, 1.0 / size)

@@ -51,6 +51,10 @@ def test_kind_preconditions():
         enumerate_walks(loopy, 1, "bt")
     with pytest.raises(KernelError):
         oracle_k_step(build_graph(3, [(0, 1), (1, 2)]), 0, 2, "nb")
+    with pytest.raises(KernelError, match="self-loops"):
+        bt_avg_bias_is_zero(loopy, 1)
+    with pytest.raises(KernelError, match="isolated vertices"):
+        bt_avg_bias_is_zero(build_graph(3, [(0, 1)]), 1)
 
 
 def test_oracle_path3_bt_two_steps(path3):

@@ -65,6 +65,16 @@ def test_stationary_bias_component_scope():
     assert np.allclose(sorted(set(np.round(m.values, 12))), [-0.5, 0.0, 0.5])
 
 
+def test_stationary_bias_refuses_isolated_vertices():
+    g = build_graph(3, [(0, 1)])
+    for scope in ("global", "component"):
+        with pytest.raises(KernelError, match="isolated vertex present"):
+            stationary_bias(g, scope=scope)
+    # an unknown scope is named before the graph is looked at
+    with pytest.raises(ValueError, match="unknown scope 'local'"):
+        stationary_bias(g, scope="local")
+
+
 def test_tv_distance_examples():
     a = DistVector("vertices", np.array([0.75, 0.25]))
     b = DistVector("vertices", np.array([0.25, 0.75]))
@@ -101,14 +111,14 @@ def test_mixing_k4_level1(complete4):
 
 def test_mixing_bipartite_path_never_crosses(path3):
     prof = mixing_profile(path3, "bt", 50, eps_list=(0.1,))
-    assert prof.first_crossing(0.1) is None
+    assert prof.crossings.get(0.1) is None
     assert not prof.flagged_nonergodic       # TV plateaus at 1/2, not near 1
     assert min(prof.D_values) > 0.4
 
 
 def test_mixing_lazy_path_crosses(path3):
     prof = mixing_profile(path3, "lazy", 400, eps_list=(0.01,), delta=0.5)
-    k_star = prof.first_crossing(0.01)
+    k_star = prof.crossings.get(0.01)
     assert k_star is not None
     # oracle: explicit 3x3 lazy matrix powers
     P = dense_transition(path3)
@@ -135,7 +145,7 @@ def test_mixing_nb_reports_both_levels():
     prof = mixing_profile(g, "nb", 300, eps_list=(0.01,))
     assert prof.D_vertex_values is not None
     assert prof.states == g.num_half_edges
-    assert prof.first_crossing(0.01) is not None
+    assert prof.crossings.get(0.01) is not None
     assert prof.D_vertex_values[-1] < 0.01
 
 
@@ -143,7 +153,7 @@ def test_mixing_nb_periodic_chain_flagged(fig_a):
     # two triangles sharing a vertex: every closed nb walk is a chain of
     # 3-step triangle loops, so the edge chain has period 3 and never mixes
     prof = mixing_profile(fig_a, "nb", 150, eps_list=(0.01,))
-    assert prof.first_crossing(0.01) is None
+    assert prof.crossings.get(0.01) is None
     assert min(prof.D_values) > 0.3
 
 
@@ -194,7 +204,7 @@ def test_levy_dominated_by_tv_past_crossing():
     g = realize(GenSpec(model="configuration", n=40,
                         degree_pmf={3: 0.5, 4: 0.5}, seed=31), erase=True)
     prof = mixing_profile(g, "bt", 300, eps_list=(0.01,))
-    cross = prof.first_crossing(0.01)
+    cross = prof.crossings.get(0.01)
     assert cross is not None
     limit = stationary_bias(g)
     for k, deltas in bias_profile(g, cross + 20, "bt"):
@@ -233,7 +243,7 @@ def test_mixing_time_is_first_crossing(seed, n, kind, eps, k_max, cap):
     prof = mixing_profile(g, kind, k_max, eps_list=(eps,), delta=0.3,
                           starts_cap=cap)
     assert mixing_time(g, kind, eps, k_max, delta=0.3,
-                       starts_cap=cap) == prof.first_crossing(eps)
+                       starts_cap=cap) == prof.crossings.get(eps)
 
 
 def test_mixing_time_never_crossing(path3, fig_a):
