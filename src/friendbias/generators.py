@@ -39,6 +39,10 @@ def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed))
 
 
+def _is_count(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 @dataclass
 class GenSpec:
     """Serializable description of one random-graph model instance."""
@@ -93,8 +97,21 @@ class GenSpec:
             except (AttributeError, TypeError, ValueError) as exc:
                 raise ValueError(f"degree_pmf needs integer degrees and numeric "
                                  f"probabilities, got {pmf!r}") from exc
+        for key in ("n", "seed"):
+            if not _is_count(d.get(key, 0)):
+                raise ValueError(f"{key} must be an integer, got {d[key]!r}")
+        seq = d.get("degree_seq")
+        if seq is not None:
+            if not isinstance(seq, list):
+                raise ValueError(f"degree_seq must be a list of degrees, "
+                                 f"got {seq!r}")
+            bad = next((i for i, x in enumerate(seq)
+                        if not (_is_count(x) and x >= 0)), None)
+            if bad is not None:
+                raise ValueError(f"degree_seq entry {bad}: {seq[bad]!r} is "
+                                 f"not a non-negative integer")
         return cls(model=d["model"], n=int(d["n"]), lam=d.get("lam"),
-                   degree_pmf=pmf, degree_seq=d.get("degree_seq"),
+                   degree_pmf=pmf, degree_seq=seq,
                    seed=int(d.get("seed", 0)))
 
 

@@ -76,16 +76,18 @@ SEQUENTIAL_TERMS = 8
 
 
 class _VertexSums:
-    """Per-vertex sums of x[..., via[j]] over the CSR segments of
-    `out_start`, bit-identical to
-    np.add.reduceat(x[..., via], out_start[:-1], axis=-1).
+    """Per-vertex sums of x[via[j]] over the CSR segments of `out_start`,
+    along axis 0; one law per column. Each column is bit-identical to
+    np.add.reduceat(x[via], out_start[:-1]) of that column alone.
 
     Vertices with at most SEQUENTIAL_TERMS terms are sorted by degree,
     descending, so column j, the j-th term of every such vertex of degree
     > j, covers a prefix of them. A call gathers each column once, adds
     columns 1.. in order into one slice, adds column 0 and scatters once;
-    that is reduceat's float order. Longer segments keep reduceat. Every
-    segment must be non-empty.
+    that is reduceat's float order. Longer segments keep reduceat, along
+    the last axis, where it sums each segment pairwise. Every segment must
+    be non-empty. The int32 columns are read through np.take: a fancy
+    index with int32 casts it on every call.
     """
 
     def __init__(self, out_start: np.ndarray, via: np.ndarray):
@@ -105,18 +107,19 @@ class _VertexSums:
         self.long_via = via[offset + np.arange(offset.size)]
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        head = x[..., self.cols[0]]
+        head = np.take(x, self.cols[0], axis=0)
         if len(self.cols) > 1:
-            rest = x[..., self.cols[1]]
+            rest = np.take(x, self.cols[1], axis=0)
             for col in self.cols[2:]:
-                rest[..., :col.size] += x[..., col]
-            head[..., :rest.shape[-1]] += rest
+                rest[:col.size] += np.take(x, col, axis=0)
+            head[:rest.shape[0]] += rest
             del rest    # `out` can take its memory: a lower peak on batches
-        out = np.empty(x.shape[:-1] + (self.n,))
-        out[..., self.order] = head
+        out = np.empty((self.n,) + x.shape[1:])
+        out[self.order] = head
         if self.long.size:
-            out[..., self.long] = np.add.reduceat(
-                x[..., self.long_via], self.long_start, axis=-1)
+            terms = np.moveaxis(np.take(x, self.long_via, axis=0), 0, -1)
+            out[self.long] = np.moveaxis(
+                np.add.reduceat(terms, self.long_start, axis=-1), -1, 0)
         return out
 
 
@@ -131,16 +134,16 @@ class WalkOperator:
     `to_vertices` maps a state law to its vertex law; `observe` and
     `lifted_mean` are the duals of `to_vertices` and `lift` on observables.
 
-    `push` and `to_vertices` act on the last axis, so a 2-D array is a
-    batch of laws, one per row, and each row comes out bit-identical to a
-    1-D call. Every per-vertex sum runs over the tail-grouped CSR: a push
-    gathers, for each vertex, what arrives over the twins of its out-edges,
-    which are its in-edges (`out_edges ^ 1` for nb, their tails
-    `heads[out_edges]` for bt/lazy). `_VertexSums` holds that gather in a
-    degree-ordered column layout and adds in np.add.reduceat's float order,
-    so every sum is bit-identical to a reduceat over the CSR. nb `expect`
-    keeps a bincount instead, whose order the nb biases depend on. Nothing
-    is renormalised.
+    `push` and `to_vertices` act on axis 0; one law per column. A 2-D
+    array (states, starts) is a batch of laws, and each column comes out
+    bit-identical to a 1-D call. Every per-vertex sum runs over the
+    tail-grouped CSR: a push gathers, for each vertex, what arrives over
+    the twins of its out-edges, which are its in-edges (`out_edges ^ 1`
+    for nb, their tails `heads[out_edges]` for bt/lazy). `_VertexSums`
+    holds that gather in a degree-ordered column layout and adds in
+    np.add.reduceat's float order, so every sum is bit-identical to a
+    reduceat over the CSR. nb `expect` keeps a bincount instead, whose
+    order the nb biases depend on. Nothing is renormalised.
     """
 
     def __init__(self, g: Graph, kind: str, delta: float = 0.5):
@@ -162,8 +165,8 @@ class WalkOperator:
 
     @cached_property
     def _vertex_sums(self) -> _VertexSums:
-        # built on first use: nb `expect` sums by bincount, so nb `bias_all`
-        # needs it only once, in `lifted_mean`, and not at all for k = 0
+        # built on first use: nb `expect` sums by bincount and nb
+        # `lifted_mean` by one reduceat, so nb `bias_all` never needs it
         g = self.g
         if self.kind == "nb":
             in_states = g.out_edges ^ 1                     # grouped by head
@@ -189,11 +192,12 @@ class WalkOperator:
 
     def push(self, w: np.ndarray) -> np.ndarray:
         g = self.g
+        per_state = (slice(None),) + (None,) * (w.ndim - 1)
         if self.kind == "nb":
-            z = w / self._fanout
+            z = w / self._fanout[per_state]
             s = self._vertex_sums(z)
-            return s[..., g.tails] - z[..., self._twin]
-        z = w / g.degrees_float
+            return np.take(s, g.tails, axis=0) - np.take(z, self._twin, axis=0)
+        z = w / g.degrees_float[per_state]
         return self._lazy(w, self._vertex_sums(z))
 
     def expect(self, y: np.ndarray) -> np.ndarray:
@@ -215,8 +219,11 @@ class WalkOperator:
     def lifted_mean(self, y: np.ndarray) -> np.ndarray:
         """Per start vertex i, the mean of a state observable under lift(i)."""
         if self.kind == "nb":
-            # y[twin] read over the in-edges is y over the out-edges
-            return self._vertex_sums(y[self._twin]) / self.g.degrees_float
+            # y over each vertex's out-edges in CSR order, in reduceat's
+            # float order like every per-vertex sum
+            g = self.g
+            return (np.add.reduceat(y[g.out_edges], g.out_start[:-1])
+                    / g.degrees_float)
         return y
 
 

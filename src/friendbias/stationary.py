@@ -26,7 +26,7 @@ DEFAULT_EPS = (0.25, 0.01, 1e-4)
 
 # beyond this many exact start states a subsample must be requested
 MAX_EXACT_STATES = 4096
-# largest dense starts x states float64 batch a mixing computation allocates;
+# largest dense states x starts float64 batch a mixing computation allocates;
 # each level makes a few temporaries of the same size
 MAX_DENSE_BYTES = 1 << 28
 
@@ -129,8 +129,22 @@ def _pick_starts(n_states: int, starts_cap) -> np.ndarray:
                                           int(starts_cap))).astype(np.int64))
 
 
-def _worst_tv(W: np.ndarray, pi: np.ndarray) -> float:
-    return 0.5 * float(np.abs(W - pi).sum(axis=1).max())
+def _worst_tv(W: np.ndarray, pi: np.ndarray, pairwise: bool) -> float:
+    """The largest TV distance between a column of the (states, starts)
+    batch W and pi.
+
+    Each column's sum keeps the float order the reference outputs depend
+    on: pairwise over a contiguous row of states for vertex laws (bt,
+    lazy and the nb projection), states added one by one for the nb edge
+    chain. So the pairwise case first writes W - pi as a C-ordered
+    (starts, states) array, in place of a transposed copy.
+    """
+    if pairwise:
+        d = np.empty(W.shape[::-1])
+        np.subtract(W.T, pi, out=d)
+        np.abs(d, out=d)
+        return 0.5 * float(d.sum(axis=1).max())
+    return 0.5 * float(np.abs(W - pi[:, None]).sum(axis=0).max())
 
 
 def _tv_levels(op: WalkOperator, k_max: int, starts_cap, vertex_curve: bool):
@@ -152,14 +166,14 @@ def _tv_levels(op: WalkOperator, k_max: int, starts_cap, vertex_curve: bool):
             f"{op.states} states needs {dense} bytes, over the "
             f"{MAX_DENSE_BYTES}-byte limit; lower starts_cap")
     pi = _pi_states(op).weights
-    W = np.zeros((starts.size, op.states))
-    W[np.arange(starts.size), starts] = 1.0
+    W = np.zeros((op.states, starts.size))
+    W[starts, np.arange(starts.size)] = 1.0
     V = None
     if v_starts.size:
         # the k-step vertex law projects the lift after k-1 edge pushes
-        V = np.zeros((v_starts.size, op.states))
-        for row, s in enumerate(v_starts):
-            V[row] = op.lift(int(s))
+        V = np.zeros((op.states, v_starts.size))
+        for col, s in enumerate(v_starts):
+            V[:, col] = op.lift(int(s))
         pi_v = pi_vertex(g).weights
     for k in range(1, k_max + 1):
         W = op.push(W)
@@ -167,8 +181,8 @@ def _tv_levels(op: WalkOperator, k_max: int, starts_cap, vertex_curve: bool):
         if V is not None:
             if k > 1:
                 V = op.push(V)
-            d_vertex = _worst_tv(op.to_vertices(V), pi_v)
-        yield k, _worst_tv(W, pi), d_vertex
+            d_vertex = _worst_tv(op.to_vertices(V), pi_v, pairwise=True)
+        yield k, _worst_tv(W, pi, pairwise=op.kind != "nb"), d_vertex
 
 
 def mixing_profile(g: Graph, kind: str, k_max: int,

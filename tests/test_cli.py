@@ -191,7 +191,19 @@ def test_unparsable_pmf_exits_2(tmp_path, capsys, pmf, cause):
      "erdos_renyi requires lam > 0, got 'abc'"),
     ({"model": "erdos_renyi", "lam": 2.0}, "missing keys ['n']"),
     (5, "expected an object, got 5"),
-], ids=["degree_pmf", "lam", "n", "not_an_object"])
+    ({"model": "erdos_renyi", "n": None, "lam": 2.0},
+     "n must be an integer, got None"),
+    ({"model": "configuration", "n": 40, "degree_pmf": {"3": 1.0},
+      "seed": None}, "seed must be an integer, got None"),
+    ({"model": "configuration", "n": 4, "degree_seq": "abc"},
+     "degree_seq must be a list of degrees, got 'abc'"),
+    ({"model": "configuration", "n": 4, "degree_seq": [1.5, 1.5, 1.5, 1.5]},
+     "degree_seq entry 0: 1.5 is not a non-negative integer"),
+    ({"model": "configuration", "n": 2, "degree_seq": [1.5, 0.5]},
+     "degree_seq entry 0: 1.5 is not a non-negative integer"),
+], ids=["degree_pmf", "lam", "n", "not_an_object", "n_null", "seed_null",
+        "degree_seq_not_a_list", "degree_seq_fractional_even_sum",
+        "degree_seq_fractional_odd_sum"])
 def test_malformed_gen_spec_exits_2(tmp_path, capsys, gen, cause):
     cfg = write_config(tmp_path, "cfg.json", experiment="bias", gen=gen,
                        kind="bt", k=2, out=str(tmp_path / "out"))

@@ -212,36 +212,44 @@ def test_walk_operator_batch_and_duality(seed, n, kind):
         return
     op = WalkOperator(g, kind, 0.3)
     rng = np.random.default_rng(seed)
-    W = rng.random((4, op.states))
-    W /= W.sum(axis=1, keepdims=True)
+    # state-major batches: one law per column
+    W = rng.random((op.states, 4))
+    W /= W.sum(axis=0)
     Y = rng.standard_normal((4, op.states))
     pushed = op.push(W)
-    for w, y, row in zip(W, Y, pushed):
-        assert np.array_equal(op.push(w), row)
-        assert abs(np.dot(row, y) - np.dot(w, op.expect(y))) <= 1e-12
-    lifts = np.array([op.lift(i) for i in range(g.n)])
-    for w, row in zip(lifts, op.to_vertices(lifts)):
-        assert np.array_equal(op.to_vertices(w), row)
+    for w, y, col in zip(W.T, Y, pushed.T):
+        assert np.array_equal(op.push(w), col)
+        assert abs(np.dot(col, y) - np.dot(w, op.expect(y))) <= 1e-12
+    lifts = np.array([op.lift(i) for i in range(g.n)]).T
+    for w, col in zip(lifts.T, op.to_vertices(lifts).T):
+        assert np.array_equal(op.to_vertices(w), col)
 
 
 @given(st.integers(0, 10 ** 6), st.lists(st.integers(1, 40), min_size=1,
                                         max_size=30), st.integers(1, 3))
 @settings(max_examples=200, deadline=None)
-def test_vertex_sums_match_reduceat_bit_for_bit(seed, degrees, rows):
+def test_vertex_sums_match_reduceat_bit_for_bit(seed, degrees, cols):
     # the column layout must keep np.add.reduceat's float order exactly;
     # degrees above 8 take the pairwise reduceat fallback
     rng = np.random.default_rng(seed)
     out_start = np.concatenate(([0], np.cumsum(degrees)))
     states = int(rng.integers(1, 100))
     via = rng.integers(0, states, out_start[-1])
-    x = rng.standard_normal((rows, 2 * states))
+    x = rng.standard_normal((2 * states, cols))
     x *= 10.0 ** rng.integers(-12, 13, x.shape)
     x[rng.random(x.shape) < 0.1] = 0.0
     x[rng.random(x.shape) < 0.1] = -0.0
     sums = _VertexSums(out_start, via)
-    for arr in (x[0, :states], x[:, :states], x[:, ::2],
-                np.asfortranarray(x[:, states:])):
-        want = np.add.reduceat(arr[..., via], out_start[:-1], axis=-1)
-        got = sums(arr)
-        assert got.shape == want.shape
-        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    def reduceat(law):
+        return np.add.reduceat(law[via], out_start[:-1]).view(np.int64)
+
+    law = x[:states, 0]
+    assert np.array_equal(sums(law).view(np.int64), reduceat(law))
+    # state-major batches (states, starts): C-ordered, strided, Fortran
+    for batch in (x[:states], x[::2], np.asfortranarray(x[states:])):
+        got = sums(batch)
+        assert got.shape == (len(degrees), cols)
+        for j in range(cols):
+            assert np.array_equal(got[:, j].view(np.int64),
+                                  reduceat(batch[:, j]))

@@ -179,13 +179,60 @@ def test_mixing_profile_matches_dense_matrix_powers(fig_a):
             if f != e ^ 1:
                 E[e, f] = 1.0 / (g.degrees[h] - 1)
     from friendbias import WalkOperator
-    assert np.abs(WalkOperator(g, "nb").push(np.eye(m2)) - E).max() < 1e-15
+    # a state-major batch: column e of the push is row e of E
+    assert np.abs(WalkOperator(g, "nb").push(np.eye(m2)) - E.T).max() < 1e-15
     prof = mixing_profile(g, "nb", 8)
     M = np.eye(m2)
     for k in range(1, 9):
         M = M @ E
         want = 0.5 * np.abs(M - 1.0 / m2).sum(axis=1).max()
         assert abs(prof.D_values[k - 1] - want) < 1e-12
+
+
+def _mixing_cases():
+    from friendbias import GenSpec, realize
+    narrow = {"2": 0.3, "3": 0.4, "4": 0.3}
+    wide = {"2": 0.3, "3": 0.3, "9": 0.2, "14": 0.2}   # degrees above 8
+    for kind in ("bt", "lazy", "nb"):
+        # bt and lazy refuse self-loops; nb keeps the multigraph
+        for label, pmf, n, cap in (("over-128-states", narrow, 300, None),
+                                   ("wide-degrees", wide, 80, None),
+                                   ("starts-cap", narrow, 300, 16)):
+            g = realize(GenSpec(model="configuration", n=n, degree_pmf=pmf,
+                                seed=41), erase=kind != "nb")
+            yield pytest.param(g, kind, cap, label, id=f"{kind}-{label}")
+
+
+@pytest.mark.parametrize("g, kind, cap, label", _mixing_cases())
+def test_mixing_levels_match_row_major_reference_bit_for_bit(g, kind, cap,
+                                                             label):
+    from friendbias import WalkOperator
+    from mixing_reference import tv_levels_rows
+    assert validate_for_exploration(g, "bt" if kind == "lazy" else kind).ok
+    k_max = 30
+    op = WalkOperator(g, kind, 0.3)
+    if label == "over-128-states":
+        assert g.n > 128                    # pairwise blocks in the TV sums
+    elif label == "wide-degrees":
+        assert int(g.degrees.max()) > 8     # the long reduceat segments
+    else:
+        assert cap < g.n
+    ref = list(tv_levels_rows(op, k_max, cap, vertex_curve=True))
+    want = np.array([d for _, d, _ in ref])
+    prof = mixing_profile(g, kind, k_max, delta=0.3, starts_cap=cap)
+
+    def bits(values):
+        return np.asarray(values, dtype=np.float64).view(np.int64)
+
+    assert np.array_equal(bits(prof.D_values), bits(want))
+    if kind == "nb":
+        assert np.array_equal(bits(prof.D_vertex_values),
+                              bits([dv for _, _, dv in ref]))
+    for eps in want[[0, 4, 14, k_max - 1]]:
+        # eps is a reference value, so the crossing sits on a bit boundary
+        first = next(k for k, d in enumerate(want, 1) if d <= eps)
+        assert mixing_time(g, kind, float(eps), k_max, delta=0.3,
+                           starts_cap=cap) == first
 
 
 def test_pick_starts_guard():
