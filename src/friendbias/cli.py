@@ -21,7 +21,8 @@ from pathlib import Path
 import numpy as np
 
 from . import generators, kernels, measures, oracle, stationary, tree_limits
-from .graph_core import (ExplorationPreconditionError, Graph, load_edge_list,
+from .graph_core import (ExplorationPreconditionError, Graph,
+                         GraphConstructionError, load_edge_list,
                          save_edge_list, validate_for_exploration)
 from .kernels import KernelError, SizeGuardError
 from .measures import NonFiniteMeasureError
@@ -40,6 +41,10 @@ class PreconditionError(ValueError):
 
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 @dataclass
@@ -72,6 +77,8 @@ class ExperimentConfig:
             raise ConfigError(f"unknown experiment {self.experiment!r}")
         if self.kind not in ("bt", "nb", "lazy"):
             raise ConfigError(f"unknown exploration kind {self.kind!r}")
+        if not _is_number(self.delta):
+            raise ConfigError(f"delta must be a number, got {self.delta!r}")
         if self.kind == "lazy" and not (0.0 < self.delta < 1.0):
             raise ConfigError(f"laziness delta must lie in (0, 1), got {self.delta}")
         for key in ("replicas", "n_samples", "size_cap", "k_max", "bins",
@@ -83,6 +90,15 @@ class ExperimentConfig:
                 raise ConfigError(f"{key} must be an integer, got {value!r}")
             if value < 1 and key != "window_N":
                 raise ConfigError(f"{key} must be >= 1")
+        if self.n_grid is not None and not (
+                isinstance(self.n_grid, list)
+                and all(_is_int(n) and n >= 1 for n in self.n_grid)):
+            raise ConfigError(f"n_grid must be null or a list of integers "
+                              f">= 1, got {self.n_grid!r}")
+        if not (isinstance(self.eps_list, list)
+                and all(_is_number(eps) for eps in self.eps_list)):
+            raise ConfigError(f"eps_list must be a list of numbers, got "
+                              f"{self.eps_list!r}")
         if self.scope not in ("global", "component"):
             raise ConfigError(f"unknown scope {self.scope!r}")
         if self.distance not in measures.DISTANCES:
@@ -282,9 +298,16 @@ def _replica_graphs(cfg: ExperimentConfig, seed: int, n: int | None = None):
         yield g
 
 
+def _read_graph_file(path: str) -> Graph:
+    try:
+        return load_edge_list(path)
+    except (OSError, UnicodeDecodeError, GraphConstructionError) as exc:
+        raise ConfigError(f"cannot read graph file {path}: {exc}") from exc
+
+
 def _resolve_graph(cfg: ExperimentConfig) -> Graph:
     if cfg.graph_file is not None:
-        return load_edge_list(cfg.graph_file)
+        return _read_graph_file(cfg.graph_file)
     return _realize(cfg, generators.mix_seed(cfg.seed, 0))
 
 
@@ -320,7 +343,7 @@ def run_bias(cfg: ExperimentConfig) -> int:
     if cfg.graph_file is None:
         graphs = _replica_graphs(cfg, cfg.seed)
     elif cfg.replicas == 1:
-        graphs = [load_edge_list(cfg.graph_file)]
+        graphs = [_read_graph_file(cfg.graph_file)]
         _check_kind(cfg, graphs[0])
     else:
         raise ConfigError("replicas > 1 requires a generated family, not a graph file")

@@ -65,9 +65,6 @@ class Graph:
             self._degf = self.degrees.astype(np.float64)
         return self._degf
 
-    def has_self_loops(self) -> bool:
-        return bool(np.any(self.tails == self.heads))
-
     def out_slice(self, i: int) -> np.ndarray:
         """Half-edge ids leaving vertex i."""
         return self.out_edges[self.out_start[i]:self.out_start[i + 1]]
@@ -120,17 +117,6 @@ class ComponentInfo:
     is_regular: list[bool]
     is_biregular_bipartite: list[bool]
     degree_sums: list[int]
-
-    @property
-    def n_components(self) -> int:
-        return len(self.sizes)
-
-    def all_regular(self) -> bool:
-        return all(self.is_regular)
-
-    def all_regular_or_biregular_bipartite(self) -> bool:
-        return all(r or b for r, b in
-                   zip(self.is_regular, self.is_biregular_bipartite))
 
 
 def _min_labels(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -208,17 +194,15 @@ class ValidationReport:
     violations: list[int]
     min_degree: int
     message: str
-    min_degree_at_least_3: bool | None = None
-    has_self_loops: bool | None = None
 
 
 def validate_for_exploration(g: Graph, kind: str) -> ValidationReport:
     """Report whether `g` supports the requested exploration.
 
-    Non-backtracking walks need minimum degree 2 (the report also notes
-    whether every degree is at least 3, which stronger convergence
-    statements require). Backtracking and lazy walks need a graph without
-    self-loops and without isolated vertices.
+    Non-backtracking walks need minimum degree 2 (the report's min_degree
+    also shows whether every degree is at least 3, which stronger
+    convergence statements require). Backtracking and lazy walks need a
+    graph without self-loops and without isolated vertices.
     """
     if kind not in EXPLORATION_KINDS:
         raise ValueError(f"unknown exploration kind {kind!r}")
@@ -228,8 +212,7 @@ def validate_for_exploration(g: Graph, kind: str) -> ValidationReport:
         ok = viol.size == 0
         msg = "ok" if ok else f"{viol.size} vertices of degree < 2"
         return ValidationReport(kind=kind, ok=ok, violations=viol.tolist(),
-                                min_degree=mindeg, message=msg,
-                                min_degree_at_least_3=bool(mindeg >= 3))
+                                min_degree=mindeg, message=msg)
     loops = np.unique(g.tails[g.tails == g.heads])
     isolated = np.flatnonzero(g.degrees == 0)
     viol = np.union1d(loops, isolated)
@@ -241,8 +224,7 @@ def validate_for_exploration(g: Graph, kind: str) -> ValidationReport:
         parts.append(f"{isolated.size} isolated vertices")
     msg = "ok" if ok else ", ".join(parts)
     return ValidationReport(kind=kind, ok=ok, violations=viol.tolist(),
-                            min_degree=mindeg, message=msg,
-                            has_self_loops=bool(loops.size))
+                            min_degree=mindeg, message=msg)
 
 
 def save_edge_list(g: Graph, path) -> None:
@@ -258,16 +240,20 @@ def load_edge_list(path) -> Graph:
         tokens = fh.read().split()
     if len(tokens) < 2:
         raise GraphConstructionError(f"malformed edge-list file {path}")
-    n, m = int(tokens[0]), int(tokens[1])
-    body = tokens[2:]
-    if len(body) != 2 * m:
-        raise GraphConstructionError(
-            f"edge-list {path} declares {m} edges but has {len(body) // 2}")
     try:
-        edges = np.array(body, dtype=np.int64).reshape(m, 2)
-    except OverflowError:   # a vertex id beyond int64: build_graph names it
-        edges = zip(map(int, body[0::2]), map(int, body[1::2]))
-    return build_graph(n, edges)
+        n, m = int(tokens[0]), int(tokens[1])
+        try:
+            ids = np.array(tokens[2:], dtype=np.int64)
+        except OverflowError:   # a vertex id beyond int64: build_graph names it
+            ids = np.array([int(t) for t in tokens[2:]], dtype=object)
+    except ValueError as exc:
+        raise GraphConstructionError(
+            f"edge-list {path} holds a token that is not an integer: {exc}"
+        ) from exc
+    if ids.size != 2 * m:
+        raise GraphConstructionError(
+            f"edge-list {path} declares {m} edges but has {ids.size // 2}")
+    return build_graph(n, ids.reshape(m, 2))
 
 
 def induced_subgraph(g: Graph, vertices) -> tuple[Graph, np.ndarray]:
@@ -292,10 +278,3 @@ def largest_component(g: Graph) -> tuple[Graph, np.ndarray]:
     keep = np.flatnonzero(info.component_id == best)
     return induced_subgraph(g, keep)
 
-
-def drop_isolated(g: Graph) -> tuple[Graph, np.ndarray]:
-    """Remove degree-0 vertices (no edges change)."""
-    keep = np.flatnonzero(g.degrees > 0)
-    if keep.size == 0:
-        return g, np.arange(g.n)
-    return induced_subgraph(g, keep)

@@ -27,8 +27,8 @@ from functools import cached_property
 import numpy as np
 
 from . import measures
-from .graph_core import (EXPLORATION_KINDS, ExplorationPreconditionError,
-                         Graph, validate_for_exploration)
+from .graph_core import (ExplorationPreconditionError, Graph,
+                         validate_for_exploration)
 
 WEIGHT_TOL = 1e-12
 
@@ -147,8 +147,6 @@ class WalkOperator:
     """
 
     def __init__(self, g: Graph, kind: str, delta: float = 0.5):
-        if kind not in EXPLORATION_KINDS:
-            raise ValueError(f"unknown exploration kind {kind!r}")
         if kind == "lazy" and not (0.0 < delta < 1.0):
             raise ValueError(f"laziness must lie in (0, 1), got {delta}")
         report = validate_for_exploration(g, "bt" if kind == "lazy" else kind)
@@ -239,12 +237,6 @@ def _k_step_dist(g: Graph, start: int, k: int, kind: str,
     for _ in range(k - op.lift_steps):
         w = DistVector(op.support, op.push(w)).weights
     return DistVector("vertices", op.to_vertices(w))
-
-
-def bias_k(g: Graph, i: int, k: int, kind: str, delta: float = 0.5) -> float:
-    """k-level friendship bias of one vertex: E[deg after k steps] - deg(i)."""
-    dist = _k_step_dist(g, i, k, kind, delta)
-    return float(np.dot(dist.weights, g.degrees_float) - g.degrees_float[i])
 
 
 def _levels(op: WalkOperator, k_max: int):

@@ -13,27 +13,16 @@ and the two rationals must agree exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 
 import numpy as np
 
 from .generators import gen_configuration_model, gen_erdos_renyi
-from .graph_core import Graph, build_graph
+from .graph_core import Graph, build_graph, validate_for_exploration
 from .kernels import DistVector, KernelError, SizeGuardError
 
 MAX_ORACLE_VERTICES = 10
 MAX_ORACLE_K = 6
-
-
-@dataclass
-class WalkSet:
-    """All k-step walk vertex sequences of one kind, with multiplicity."""
-
-    kind: str
-    k: int
-    walks: list[tuple[int, ...]]
 
 
 def _guard(g: Graph, k: int) -> None:
@@ -47,13 +36,9 @@ def _guard(g: Graph, k: int) -> None:
 def _check_kind(g: Graph, kind: str) -> None:
     if kind not in ("bt", "nb"):
         raise ValueError(f"oracle supports kinds 'bt' and 'nb', got {kind!r}")
-    if kind == "bt":
-        if g.has_self_loops():
-            raise KernelError("backtracking walks undefined on graphs with self-loops")
-        if g.n == 0 or int(g.degrees.min()) == 0:
-            raise KernelError("backtracking walks undefined with isolated vertices")
-    if kind == "nb" and (g.n == 0 or int(g.degrees.min()) < 2):
-        raise KernelError("non-backtracking walks need minimum degree 2")
+    report = validate_for_exploration(g, kind)
+    if not report.ok:
+        raise KernelError(f"graph not valid for {kind!r} walks: {report.message}")
 
 
 def _edge_walks_from(g: Graph, start: int, k: int, kind: str):
@@ -69,19 +54,6 @@ def _edge_walks_from(g: Graph, start: int, k: int, kind: str):
             if kind == "nb" and edges and e == (edges[-1] ^ 1):
                 continue
             stack.append((verts + (int(g.heads[e]),), edges + (int(e),)))
-
-
-def enumerate_walks(g: Graph, k: int, kind: str) -> WalkSet:
-    """Complete enumeration of the k-step walks of the given kind."""
-    _guard(g, k)
-    _check_kind(g, kind)
-    if k == 0:
-        return WalkSet(kind=kind, k=0, walks=[(i,) for i in range(g.n)])
-    walks = []
-    for start in range(g.n):
-        for verts, _ in _edge_walks_from(g, start, k, kind):
-            walks.append(verts)
-    return WalkSet(kind=kind, k=k, walks=walks)
 
 
 def _walk_weight(degs, verts, kind) -> Fraction:
@@ -150,15 +122,6 @@ def oracle_avg_bias(g: Graph, k: int, kind: str) -> float:
     return float(oracle_avg_bias_exact(g, k, kind))
 
 
-def _lcm_of(values) -> int:
-    out = 1
-    for v in values:
-        v = int(v)
-        if v:
-            out = out * v // gcd(out, v)
-    return out
-
-
 def small_graph_corpus() -> dict:
     """Fixed corpus of small graphs for oracle-vs-kernel comparisons.
 
@@ -194,22 +157,3 @@ def small_graph_corpus() -> dict:
         "cm8_b": gen_configuration_model([3, 3, 3, 3, 4, 4, 2, 2], 78),
     }
     return corpus
-
-
-def bt_avg_bias_is_zero(g: Graph, k: int) -> bool:
-    """Exact test of `average backtracking bias at level k == 0`.
-
-    Works in scaled integers: with L = lcm(degrees), L*P is an integer
-    matrix, so sum((L P)^k d) == L^k sum(d) decides equality without any
-    floating point. Intended for exhaustive sweeps over small graphs.
-    """
-    _check_kind(g, "bt")
-    L = _lcm_of(g.degrees)
-    nbrs = g.heads[g.out_edges].tolist()   # neighbours, grouped by vertex
-    start = g.out_start.tolist()
-    degs = g.degrees.tolist()
-    v = list(degs)
-    for _ in range(k):
-        v = [(L // degs[i]) * sum(v[j] for j in nbrs[start[i]:start[i + 1]])
-             for i in range(g.n)]
-    return sum(v) == (L ** k) * sum(degs)

@@ -31,25 +31,18 @@ MAX_EXACT_STATES = 4096
 MAX_DENSE_BYTES = 1 << 28
 
 
-def pi_vertex(g: Graph) -> DistVector:
-    """Degree-proportional stationary law of the simple / lazy walk."""
+def _stationary_degrees(g: Graph) -> np.ndarray:
+    """The float degrees, which every stationary law here is built from; a
+    graph with an isolated vertex has none."""
     if g.n == 0 or int(g.degrees.min()) == 0:
         raise KernelError("stationary law undefined: isolated vertex present")
-    return DistVector("vertices", g.degrees_float / g.degrees_float.sum())
+    return g.degrees_float
 
 
-def pi_component(g: Graph) -> np.ndarray:
-    """Per-vertex weights, degree-proportional within each component.
-
-    The weights sum to 1 on every component (to the component count
-    globally); this is the k -> infinity law of the lazy walk started in
-    that component.
-    """
-    if int(g.degrees.min()) == 0:
-        raise KernelError("stationary law undefined: isolated vertex present")
-    info = analyze_components(g)
-    comp_sums = np.asarray(info.degree_sums, dtype=np.float64)
-    return g.degrees_float / comp_sums[info.component_id]
+def pi_vertex(g: Graph) -> DistVector:
+    """Degree-proportional stationary law of the simple / lazy walk."""
+    degf = _stationary_degrees(g)
+    return DistVector("vertices", degf / degf.sum())
 
 
 def stationary_bias(g: Graph, scope: str = "global") -> EmpiricalMeasure:
@@ -62,9 +55,7 @@ def stationary_bias(g: Graph, scope: str = "global") -> EmpiricalMeasure:
     """
     if scope not in ("global", "component"):
         raise ValueError(f"unknown scope {scope!r}")
-    if g.n == 0 or int(g.degrees.min()) == 0:
-        raise KernelError("stationary law undefined: isolated vertex present")
-    degf = g.degrees_float
+    degf = _stationary_degrees(g)
     if scope == "global":
         ratio = float(np.dot(degf, degf) / degf.sum())
         deltas = ratio - degf

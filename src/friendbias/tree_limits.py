@@ -3,9 +3,8 @@
 Locally tree-like graph families converge, seen from a uniform vertex, to a
 branching-process tree in which the root's offspring count follows the
 degree law p while every other vertex has offspring distributed as the
-size-biased shift p*, where p*_k = (k+1) p_{k+1} / E[D]; `sample_gw` grows
-such a `GWTree` to a fixed depth or to extinction. Two limit laws for the
-root bias arise:
+size-biased shift p*, where p*_k = (k+1) p_{k+1} / E[D]. Two limit laws for
+the root bias arise:
 
 * mu      -- the law of E[D^2]/E[D] - d_root, reached by non-backtracking
   exploration (and by either exploration after mixing);
@@ -14,8 +13,13 @@ root bias arise:
   the whole tree minus d_root.
 
 A finite tree with at least one edge is bipartite, so the plain walk on it
-is periodic; the equilibrium value is realised here through the lazy kernel
-(delta = 1/2), which shares the degree-proportional stationary law.
+is periodic; the lazy walk, which shares the degree-proportional stationary
+law, reaches the equilibrium value. `sample_mu_star` computes that value in
+closed form from the offspring counts.
+
+The tree type, its per-tree sampler `sample_gw` and the exact root biases
+on one tree are test references in `tests/gw_reference.py`;
+`sample_mu_star` reads the same uniforms as that sampler.
 """
 
 from __future__ import annotations
@@ -26,8 +30,7 @@ from functools import cached_property
 
 import numpy as np
 
-from . import kernels, measures
-from .graph_core import build_graph
+from . import measures
 
 
 @dataclass
@@ -81,26 +84,23 @@ class OffspringLaw:
 
     @cached_property
     def size_biased(self) -> "OffspringLaw":
-        """p*, derived on first use and kept."""
-        return size_bias(self)
+        """Size-biased shift p*_k = (k+1) p_{k+1} / E[D], derived on first
+        use and kept.
+
+        This is the offspring law of every non-root vertex of the limit tree;
+        its mean is E[D^2]/E[D] - 1.
+        """
+        m1 = self.m1
+        if m1 <= 0:
+            raise ValueError("size bias undefined: offspring mean is zero")
+        keep = self.ks >= 1
+        ks = self.ks[keep] - 1
+        ps = self.ks[keep] * self.ps[keep] / m1
+        return OffspringLaw(ks=ks, ps=ps,
+                            meta={"size_biased_from": self.to_dict()})
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         return rng.choice(self.ks, size=size, p=self.ps)
-
-
-def size_bias(p: OffspringLaw) -> OffspringLaw:
-    """Size-biased shift: p*_k = (k+1) p_{k+1} / E[D].
-
-    This is the offspring law of every non-root vertex of the limit tree;
-    its mean is E[D^2]/E[D] - 1.
-    """
-    m1 = p.m1
-    if m1 <= 0:
-        raise ValueError("size bias undefined: offspring mean is zero")
-    keep = p.ks >= 1
-    ks = p.ks[keep] - 1
-    ps = p.ks[keep] * p.ps[keep] / m1
-    return OffspringLaw(ks=ks, ps=ps, meta={"size_biased_from": p.to_dict()})
 
 
 def truncated_poisson(lam: float, tail_mass: float = 1e-12) -> OffspringLaw:
@@ -120,128 +120,6 @@ def truncated_poisson(lam: float, tail_mass: float = 1e-12) -> OffspringLaw:
     return OffspringLaw(ks=np.arange(k + 1), ps=ps,
                         meta={"poisson_lam": lam, "truncated_at": k,
                               "tail_mass": tail_mass})
-
-
-@dataclass
-class GWTree:
-    """Offspring counts of a Galton-Watson tree, generation by generation.
-
-    levels[l][i] is the offspring count of the i-th vertex (breadth-first)
-    at depth l; level l has sum(levels[l-1]) vertices. The tree is complete
-    when its last generation has no offspring.
-    """
-
-    levels: list
-
-    def __post_init__(self):
-        self.levels = [np.asarray(lv, dtype=np.int64) for lv in self.levels]
-        if not self.levels or self.levels[0].size != 1:
-            raise ValueError("a tree has exactly one root")
-        for l in range(1, len(self.levels)):
-            if self.levels[l].size != int(self.levels[l - 1].sum()):
-                raise ValueError(f"level {l} has {self.levels[l].size} vertices, "
-                                 f"expected {int(self.levels[l - 1].sum())}")
-
-    @property
-    def depth(self) -> int:
-        return len(self.levels) - 1
-
-    @property
-    def root_offspring(self) -> int:
-        return int(self.levels[0][0])
-
-    @property
-    def num_vertices(self) -> int:
-        return sum(lv.size for lv in self.levels)
-
-    def _offspring(self) -> np.ndarray:
-        if self.levels[-1].any():
-            raise ValueError("incomplete tree: the last generation has offspring")
-        return np.concatenate(self.levels)
-
-    def degrees(self) -> np.ndarray:
-        d = self._offspring() + 1
-        d[0] -= 1   # the root has no parent
-        return d
-
-    def to_graph(self):
-        """Parent-child edges with breadth-first vertex ids."""
-        off = self._offspring()
-        parents = np.repeat(np.arange(off.size), off)
-        return build_graph(off.size, np.column_stack(
-            (parents, np.arange(1, off.size))))
-
-
-def sample_gw(p: OffspringLaw, rng: np.random.Generator,
-              depth: int | None = None, size_cap: int = 10 ** 6) -> GWTree | None:
-    """Grow a tree with root ~ p and every other vertex ~ p*.
-
-    Grows `depth` generations, or until extinction when `depth` is None.
-    Returns None before drawing a generation that would push the vertex
-    count past `size_cap` (the caller counts that as a rejection).
-    """
-    if depth is not None and depth < 0:
-        raise ValueError("depth must be >= 0")
-    if size_cap < 1:
-        raise ValueError("size_cap must be >= 1")
-    levels = [p.sample(rng, 1)]
-    total = 1
-    while ((count := int(levels[-1].sum()))
-           and (depth is None or len(levels) <= depth)):
-        total += count
-        if total > size_cap:
-            return None
-        levels.append(p.size_biased.sample(rng, count))
-    if depth is not None:   # an extinct tree keeps its empty generations
-        levels += [np.zeros(0, dtype=np.int64)] * (depth + 1 - len(levels))
-    return GWTree(levels=levels)
-
-
-def nb_bias_on_tree(t: GWTree, k: int) -> float:
-    """Exact k-level non-backtracking bias of the root.
-
-    On a tree the walk only descends: the probability of reaching a given
-    generation-k vertex is 1/(d_root * product of offspring counts along the
-    interior of its path), and that vertex's degree is offspring + 1. Every
-    vertex above generation k must have at least one offspring.
-    """
-    if not (1 <= k <= t.depth):
-        raise ValueError(f"need 1 <= k <= depth={t.depth}, got {k}")
-    prob = np.array([1.0])
-    for l, counts in enumerate(t.levels[:k]):
-        if counts.size == 0 or int(counts.min()) < 1:
-            raise ValueError(f"walk undefined: vertex with no offspring at depth {l}")
-        prob = np.repeat(prob / counts, counts)
-    return float(np.dot(prob, t.levels[k] + 1.0) - t.root_offspring)
-
-
-def stationary_tree_bias(t: GWTree) -> float:
-    """Closed-form equilibrium bias of the root on a complete tree:
-    sum(deg^2)/sum(deg) - d_root, with the one-vertex tree mapped to 0
-    (empty ratio resolved as 0)."""
-    d = t.degrees().astype(np.float64)
-    total = float(d.sum())
-    ratio = float(np.dot(d, d) / total) if total > 0 else 0.0
-    return ratio - float(d[0])
-
-
-def bt_bias_on_finite_tree(t: GWTree, k: int, delta: float = 0.5) -> float:
-    """Root bias after k lazy steps on a complete tree.
-
-    Trees with an edge are bipartite, so the plain walk oscillates and has
-    no pointwise k -> infinity limit; the lazy walk shares the same
-    stationary law and converges, realising the closed-form equilibrium.
-    """
-    if not (0.0 < delta < 1.0):
-        raise ValueError(f"laziness must lie in (0, 1), got {delta}")
-    g = t.to_graph()
-    if g.n == 1:
-        return 0.0
-    op = kernels.WalkOperator(g, "lazy", delta)
-    v = degf = g.degrees_float
-    for _ in range(k):
-        v = op.expect(v)
-    return float(v[0] - degf[0])
 
 
 def exact_mu(p: OffspringLaw, meta=None) -> measures.EmpiricalMeasure:
@@ -310,8 +188,9 @@ def _tree_ends(r: np.ndarray, s: np.ndarray) -> np.ndarray:
 
 def _drawn_before_rejection(r: np.ndarray, s: np.ndarray, a: int,
                             size_cap: int) -> int:
-    """Uniforms `sample_gw` reads from the tree rooted at a before it gives
-    up: every generation before the one that takes the count past size_cap."""
+    """Uniforms `sample_gw` (tests/gw_reference.py) reads from the tree
+    rooted at a before it gives up: every generation before the one that
+    takes the count past size_cap."""
     total, nxt, count = 1, a + 1, int(r[a])
     while total + count <= size_cap:
         total += count
@@ -322,9 +201,10 @@ def _drawn_before_rejection(r: np.ndarray, s: np.ndarray, a: int,
 
 def _tree_biases(r: np.ndarray, s: np.ndarray, roots: list,
                  lasts: list) -> np.ndarray:
-    """`stationary_tree_bias` of the trees on stream positions
-    roots[i]..lasts[i]: the degree sums are integers below 2**53, so float64
-    holds them exactly and the ratio rounds as it does there."""
+    """`stationary_tree_bias` (tests/gw_reference.py) of the trees on stream
+    positions roots[i]..lasts[i]: sum(deg^2)/sum(deg) - d_root. The degree
+    sums are integers below 2**53, so float64 holds them exactly and the
+    ratio rounds as it does there."""
     roots = np.array(roots, dtype=np.int64)
     lasts = np.array(lasts, dtype=np.int64)
     squares = np.concatenate(([0], np.cumsum((s + 1) ** 2)))
@@ -345,8 +225,8 @@ def sample_mu_star(p: OffspringLaw, n_samples: int, seed: int,
     rejections raise RuntimeError.
 
     Stream contract: the result is that of calling `sample_gw(p, rng,
-    size_cap=size_cap)` until it returns n_samples trees, with one
-    PCG64(seed) generator. Those calls read a single stream of uniforms:
+    size_cap=size_cap)` from tests/gw_reference.py until it returns
+    n_samples trees, with one PCG64(seed) generator. Those calls read a single stream of uniforms:
     each tree's root (through p), then its generations breadth-first
     (through p*); a rejected tree stops before the generation that would
     pass the cap. Here the stream is read in blocks and each tree's end is

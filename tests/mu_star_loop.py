@@ -1,4 +1,4 @@
-"""Reference mu_star sampler: one `sample_gw` call per tree.
+"""Reference mu_star sampler: one `gw_reference.sample_gw` call per tree.
 
 Test oracle for `tree_limits.sample_mu_star`, which reads the same stream of
 uniforms in blocks and must return the same measure bit for bit, with the
@@ -8,7 +8,8 @@ same rejection count.
 import numpy as np
 
 from friendbias.measures import EmpiricalMeasure
-from friendbias.tree_limits import OffspringLaw, sample_gw, stationary_tree_bias
+from friendbias.tree_limits import OffspringLaw
+from gw_reference import sample_gw, stationary_tree_bias
 
 
 def sample_mu_star_loop(p: OffspringLaw, n_samples: int, seed: int,

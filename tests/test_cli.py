@@ -274,15 +274,41 @@ def test_zero_mean_offspring_law_exits_2(tmp_path, capsys, experiment, extra):
     ("k_max", -1), ("k_max", 2.0),
     ("replicas", 2.5), ("n_samples", 1e5), ("size_cap", "10"),
     ("window_N", 1.5), ("k", [-2]), ("k", [1.5]), ("k", -1), ("k", 2.5),
+    ("n_grid", [40.5]), ("n_grid", 40), ("n_grid", ["abc"]), ("n_grid", [0]),
+    ("eps_list", 0.1), ("eps_list", ["a"]), ("delta", "x"),
 ])
 def test_bad_config_values_exit_2(tmp_path, capsys, key, value):
-    cfg = write_config(tmp_path, "cfg.json", experiment="joint",
-                       gen={"model": "configuration", "n": 40,
-                            "degree_pmf": {"3": 0.5, "4": 0.5}},
-                       kind="nb", n_grid=[40], out=str(tmp_path / "out"),
-                       **{key: value})
+    fields = dict(gen={"model": "configuration", "n": 40,
+                       "degree_pmf": {"3": 0.5, "4": 0.5}},
+                  kind="nb", n_grid=[40], out=str(tmp_path / "out"))
+    fields[key] = value
+    cfg = write_config(tmp_path, "cfg.json", experiment="joint", **fields)
     assert main(["joint", "--config", cfg]) == 2
     assert f"config error: {key} must be" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("experiment", ["bias", "stationary"])
+@pytest.mark.parametrize("case, detail", [
+    ("missing", "No such file"), ("directory", "Is a directory"),
+    ("bad_token", "not an integer"), ("binary", "can't decode"),
+])
+def test_unreadable_graph_file_exits_2(tmp_path, capsys, experiment, case,
+                                       detail):
+    path = tmp_path / f"{case}.edges"
+    if case == "directory":
+        path.mkdir()
+    elif case == "bad_token":
+        path.write_text("3 2\n0 1\n1 x\n")
+    elif case == "binary":
+        path.write_bytes(b"3 1\n0 \xff\n")
+    cfg = write_config(tmp_path, "cfg.json", experiment=experiment,
+                       graph_file=str(path), kind="bt", k=1,
+                       out=str(tmp_path / "out"))
+    assert main([experiment, "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: cannot read graph file {path}: " in err
+    assert detail in err
     assert not (tmp_path / "out").exists()
 
 

@@ -3,11 +3,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from friendbias import (DistVector, EmpiricalMeasure, WalkOperator, bias_all,
-                        bias_k, build_graph, validate_for_exploration)
+                        build_graph, validate_for_exploration)
 from friendbias.kernels import KernelError, _k_step_dist, _VertexSums
 from friendbias.oracle import small_graph_corpus
 
 from conftest import dense_transition
+
+
+def bias_k(g, i, k, kind):
+    """k-level bias of vertex i: E[degree after k steps] - degree of i."""
+    d = g.degrees_float
+    return float(np.dot(_k_step_dist(g, i, k, kind, 0.5).weights, d) - d[i])
 
 
 def test_distvector_validation():

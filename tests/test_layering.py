@@ -1,13 +1,27 @@
-"""The import graph between the modules of `friendbias`, read from their
-source with ast, function-local imports included. Importing the package
-would not show it: `friendbias/__init__` imports every module."""
+"""The import graph between the modules of `friendbias`, and the package
+definitions that the CLI and the README quick start reach, both read from
+the source with ast, function-local imports included. Importing the
+package would not show them: `friendbias/__init__` imports every module."""
 
 import ast
+import re
 from graphlib import TopologicalSorter
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "friendbias"
 MODULES = {p.stem for p in PACKAGE.glob("*.py")}
+README = PACKAGE.parents[1] / "README.md"
+
+
+def _source_module(node: ast.ImportFrom):
+    """The package module an ImportFrom reads: "" for the package itself
+    (`from . import x`, `from friendbias import x`), None outside it."""
+    module = node.module or ""
+    if node.level == 0:
+        head, _, module = module.partition(".")
+        if head != "friendbias":
+            return None
+    return module.split(".")[0]
 
 
 def imported_modules(source: str) -> set:
@@ -19,14 +33,10 @@ def imported_modules(source: str) -> set:
             found.update(a.name.split(".")[1] for a in node.names
                          if a.name.startswith("friendbias."))
         elif isinstance(node, ast.ImportFrom):
-            module = node.module or ""
-            if node.level == 0:
-                if module.split(".")[0] != "friendbias":
-                    continue
-                module = module.partition(".")[2]
+            module = _source_module(node)
             if module:                      # from .x import y
-                found.add(module.split(".")[0])
-            else:                           # from . import x, y
+                found.add(module)
+            elif module == "":              # from . import x, y
                 found.update(a.name for a in node.names)
     return found & MODULES
 
@@ -54,3 +64,119 @@ def test_import_graph_is_acyclic():
 
 def test_kernels_import_neither_generators_nor_cli():
     assert not import_graph()["kernels"] & {"generators", "cli"}
+
+
+
+class _Namespace:
+    """A module's top-level definitions and what its imports bind."""
+
+    def __init__(self, source: str):
+        tree = ast.parse(source)
+        self.defs = {}      # name -> def, class or assignment node
+        self.bound = {}     # name -> a module, or (module, name) imported
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                self.defs[node.name] = node
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) \
+                    else [node.target]
+                for t in targets:
+                    if isinstance(t, ast.Name):
+                        self.defs[t.id] = node
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                module = _source_module(node)
+                for a in node.names if module is not None else ():
+                    name = a.asname or a.name
+                    if module:
+                        self.bound[name] = (module, a.name)
+                    elif a.name in MODULES:
+                        self.bound[name] = a.name
+
+
+def _namespaces() -> dict:
+    return {name: _Namespace((PACKAGE / f"{name}.py").read_text())
+            for name in MODULES}
+
+
+def _resolve(spaces: dict, module: str, name: str):
+    """(module, name) of the definition `name` denotes in `module`, following
+    imports, or None."""
+    space = spaces[module]
+    if name in space.defs:
+        return module, name
+    target = space.bound.get(name)
+    return _resolve(spaces, *target) if isinstance(target, tuple) else None
+
+
+def quick_start_roots(spaces: dict) -> set:
+    """The definitions the README's quick-start block imports."""
+    text = README.read_text()
+    block = re.search(r"## Library quick start\n+```python\n(.*?)```",
+                      text, re.S).group(1)
+    roots = set()
+    for node in ast.walk(ast.parse(block)):
+        if isinstance(node, ast.ImportFrom):
+            module = _source_module(node)
+            assert module is not None, "the quick start imports from friendbias"
+            for a in node.names:
+                roots.add(_resolve(spaces, module or "__init__", a.name))
+    assert None not in roots, "a quick-start name is not defined in src/"
+    return roots
+
+
+def reached(spaces: dict, roots) -> set:
+    """Every definition reached from `roots` through the Name and
+    module.Attribute references in the bodies of reached definitions; a
+    reached class brings all its methods."""
+    todo, seen = list(roots), set()
+    while todo:
+        key = todo.pop()
+        if key is None or key in seen:
+            continue
+        seen.add(key)
+        module, name = key
+        space = spaces[module]
+        for node in ast.walk(space.defs[name]):
+            if isinstance(node, ast.Name):
+                todo.append(_resolve(spaces, module, node.id))
+            elif (isinstance(node, ast.Attribute)
+                  and isinstance(node.value, ast.Name)
+                  and isinstance(space.bound.get(node.value.id), str)):
+                todo.append(_resolve(spaces, space.bound[node.value.id],
+                                     node.attr))
+    return seen
+
+
+def test_reachability_follows_names_attributes_and_imports():
+    # two made-up sources under real module names, which `from . import`
+    # needs to bind
+    spaces = {
+        "cli": _Namespace("from . import kernels\n"
+                          "from .kernels import g as h\n"
+                          "TABLE = {'x': h}\n"
+                          "def main():\n    return TABLE, kernels.f\n"
+                          "def unused():\n    pass\n"),
+        "kernels": _Namespace("class C:\n    def m(self):\n        return k()\n"
+                              "def f():\n    return C\n"
+                              "def g():\n    pass\n"
+                              "def k():\n    pass\n"),
+    }
+    assert reached(spaces, [("cli", "main")]) == {
+        ("cli", "main"), ("cli", "TABLE"), ("kernels", "f"), ("kernels", "g"),
+        ("kernels", "C"), ("kernels", "k")}
+
+
+def test_package_holds_only_what_the_cli_and_quick_start_reach():
+    spaces = _namespaces()
+    seen = reached(spaces, {("cli", "main")} | quick_start_roots(spaces))
+    unreached = sorted(
+        f"{module}.{name}" for module, space in spaces.items()
+        for name, node in space.defs.items()
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not name.startswith("_") and (module, name) not in seen)
+    assert unreached == [], f"only tests reach {unreached}"
+
+
+def test_tree_limits_import_only_measures():
+    assert import_graph()["tree_limits"] == {"measures"}

@@ -3,9 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from friendbias import (DistVector, bias_all, build_graph, mixing_profile,
-                        mixing_time, pi_component, pi_vertex,
-                        stationarity_residual, stationary_bias, tv_distance,
-                        validate_for_exploration)
+                        mixing_time, pi_vertex, stationarity_residual,
+                        stationary_bias, tv_distance, validate_for_exploration)
 from friendbias import stationary
 from friendbias.kernels import KernelError, SizeGuardError
 from friendbias.measures import EmpiricalMeasure, levy_distance
@@ -24,15 +23,6 @@ def test_pi_vertex_examples(path3, triangle, star3):
 def test_pi_vertex_isolated_error():
     with pytest.raises(KernelError):
         pi_vertex(build_graph(3, [(0, 1)]))
-
-
-def test_pi_component(path3):
-    assert np.allclose(pi_component(path3), pi_vertex(path3).weights)
-    two_triangles = build_graph(6, [(0, 1), (1, 2), (2, 0),
-                                    (3, 4), (4, 5), (5, 3)])
-    assert np.allclose(pi_component(two_triangles), [1 / 3] * 6)
-    p3_k2 = build_graph(5, [(0, 1), (1, 2), (3, 4)])
-    assert np.allclose(pi_component(p3_k2), [0.25, 0.5, 0.25, 0.5, 0.5])
 
 
 def test_stationary_bias_regular(triangle):

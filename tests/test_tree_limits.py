@@ -7,11 +7,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from friendbias import tree_limits
-from friendbias import (GWTree, OffspringLaw, bt_bias_on_finite_tree,
-                        exact_mu, mix_seed, nb_bias_on_tree, sample_gw,
-                        sample_mu, sample_mu_star, size_bias,
-                        stationary_tree_bias, truncated_poisson)
+from friendbias import (OffspringLaw, exact_mu, mix_seed, sample_mu,
+                        sample_mu_star, truncated_poisson)
 from friendbias.measures import EmpiricalMeasure, levy_distance
+from gw_reference import (GWTree, bt_bias_on_finite_tree, nb_bias_on_tree,
+                          sample_gw, stationary_tree_bias)
 from mu_star_loop import sample_mu_star_loop
 
 
@@ -24,18 +24,18 @@ def rng(seed):
 
 
 def test_size_bias_regular():
-    assert size_bias(law({3: 1.0})).to_dict() == {"2": 1.0}
+    assert law({3: 1.0}).size_biased.to_dict() == {"2": 1.0}
 
 
 def test_size_bias_two_atom():
-    p = size_bias(law({2: 0.5, 4: 0.5}))
+    p = law({2: 0.5, 4: 0.5}).size_biased
     assert p.ks.tolist() == [1, 3]
     assert np.allclose(p.ps, [1 / 3, 2 / 3])
 
 
 def test_size_bias_poisson_self_dual():
     p = truncated_poisson(2.5)
-    p_star = size_bias(p)
+    p_star = p.size_biased
     # (k+1) p_{k+1} / lam leaves a Poisson pmf unchanged
     overlap = 0.0
     for k, w in zip(p_star.ks.tolist(), p_star.ps.tolist()):
@@ -48,14 +48,14 @@ def test_size_bias_poisson_self_dual():
 def test_size_bias_normalization_and_mean_identity():
     for d in ({1: 0.2, 5: 0.8}, {2: 0.5, 4: 0.5}, {3: 0.25, 4: 0.5, 7: 0.25}):
         p = law(d)
-        p_star = size_bias(p)
+        p_star = p.size_biased
         assert abs(float(p_star.ps.sum()) - 1.0) <= 1e-15
         assert p_star.m1 + 1 == pytest.approx(p.m2 / p.m1, abs=1e-12)
 
 
 def test_size_bias_zero_mean_error():
     with pytest.raises(ValueError):
-        size_bias(law({0: 1.0}))
+        law({0: 1.0}).size_biased
 
 
 def test_moment_ratio_zero_mean_error():
@@ -76,7 +76,7 @@ def test_size_bias_identity_random_pmfs(raw):
     if sum(k * v for k, v in pmf.items()) == 0:
         return
     p = law(pmf)
-    p_star = size_bias(p)
+    p_star = p.size_biased
     assert abs(float(p_star.ps.sum()) - 1.0) <= 1e-12
     assert abs((p_star.m1 + 1) - p.m2 / p.m1) <= 1e-12
 
@@ -98,7 +98,6 @@ def test_truncated_poisson_metadata():
 def test_size_biased_is_derived_once_per_law():
     p = law({2: 0.5, 4: 0.5})
     assert p.size_biased is p.size_biased
-    assert p.size_biased.to_dict() == size_bias(p).to_dict()
 
 
 def test_sample_gw_regular_tree():
