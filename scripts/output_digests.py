@@ -3,7 +3,7 @@
 
 Covers every experiment; the bt, nb and lazy explorations; nb `mixing` and
 `stationary` on unerased configuration-model multigraphs with self-loops;
-`mixing`, `bias` and `mix10` `joint` on a degree law with degrees above 8,
+component-scope `stationary` on a multigraph of many components; `mixing`, `bias` and `mix10` `joint` on a degree law with degrees above 8,
 whose per-vertex sums take np.add.reduceat's pairwise order; Erdos-Renyi
 with `restrict_giant`; `erase`; `graph_file` input; and `mu_star` on
 laws with 0 or 3 in the support, with rejections under a small `size_cap`,
@@ -36,6 +36,7 @@ from friendbias.cli import main as cli_main
 
 PMF34 = {"3": 0.5, "4": 0.5}
 PMF234 = {"2": 0.3, "3": 0.4, "4": 0.3}
+PMF12 = {"1": 0.5, "2": 0.5}
 PMF_WIDE = {"2": 0.3, "3": 0.3, "9": 0.2, "14": 0.2}
 
 
@@ -87,6 +88,11 @@ def runs() -> list[tuple[str, dict]]:
                                 k_max=5)),
         ("multi-joint-nb", dict(multi, experiment="joint", n_grid=[40, 80],
                                 k="log_n(1)", replicas=2)),
+        # degrees 1 and 2 give many small components (18 on this draw), so
+        # each component's own degree moments enter the limit
+        ("stationary-components", {"experiment": "stationary",
+                                   "gen": _cm(60, PMF12), "scope": "component",
+                                   "seed": 0}),
     ]
     for kind in ("bt", "nb", "lazy"):
         simple = kind != "nb"
