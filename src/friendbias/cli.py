@@ -43,8 +43,9 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+def _is_finite_number(value) -> bool:
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and generators.is_finite(value))
 
 
 @dataclass
@@ -66,7 +67,8 @@ class ExperimentConfig:
     pmf: dict | None = None
     n_samples: int = 100_000
     k_max: int = 200
-    eps_list: list = field(default_factory=lambda: [0.25, 0.01, 1e-4])
+    eps_list: list = field(
+        default_factory=lambda: list(stationary.DEFAULT_EPS))
     bins: int = 40
     window_N: int = 1
     starts_cap: int | None = None
@@ -77,8 +79,9 @@ class ExperimentConfig:
             raise ConfigError(f"unknown experiment {self.experiment!r}")
         if self.kind not in ("bt", "nb", "lazy"):
             raise ConfigError(f"unknown exploration kind {self.kind!r}")
-        if not _is_number(self.delta):
-            raise ConfigError(f"delta must be a number, got {self.delta!r}")
+        if not _is_finite_number(self.delta):
+            raise ConfigError(f"delta must be a finite number, got "
+                              f"{self.delta!r}")
         if self.kind == "lazy" and not (0.0 < self.delta < 1.0):
             raise ConfigError(f"laziness delta must lie in (0, 1), got {self.delta}")
         for key in ("replicas", "n_samples", "size_cap", "k_max", "bins",
@@ -96,8 +99,8 @@ class ExperimentConfig:
             raise ConfigError(f"n_grid must be null or a list of integers "
                               f">= 1, got {self.n_grid!r}")
         if not (isinstance(self.eps_list, list)
-                and all(_is_number(eps) for eps in self.eps_list)):
-            raise ConfigError(f"eps_list must be a list of numbers, got "
+                and all(_is_finite_number(eps) for eps in self.eps_list)):
+            raise ConfigError(f"eps_list must be a list of finite numbers, got "
                               f"{self.eps_list!r}")
         if self.scope not in ("global", "component"):
             raise ConfigError(f"unknown scope {self.scope!r}")
@@ -153,8 +156,9 @@ def parse_schedule(text: str):
                 value = float(text[len(name) + 1:-1])
             except ValueError as exc:
                 raise ConfigError(f"malformed schedule {text!r}") from exc
-            if value <= 0:
-                raise ConfigError(f"schedule parameter must be positive: {text!r}")
+            if not (math.isfinite(value) and value > 0):
+                raise ConfigError(f"k schedule parameter must be finite and "
+                                  f"positive, got {text!r}")
             return name, value
     raise ConfigError(f"unknown schedule {text!r}")
 

@@ -9,6 +9,7 @@ makes replicas independent of execution order.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass, replace
 
@@ -33,6 +34,15 @@ def mix_seed(master: int, index: int) -> int:
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
     return (z ^ (z >> 31)) & _MASK64
+
+
+def is_finite(value) -> bool:
+    """math.isfinite of a real number; an integer too large for a float
+    counts as infinite instead of raising OverflowError."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 def _rng(seed: int) -> np.random.Generator:
@@ -60,6 +70,9 @@ class GenSpec:
         if self.model == "erdos_renyi":
             if not isinstance(self.lam, numbers.Real) or self.lam <= 0:
                 raise ValueError(f"erdos_renyi requires lam > 0, got {self.lam!r}")
+            if not is_finite(self.lam):
+                raise ValueError(f"erdos_renyi requires a finite lam, got "
+                                 f"{self.lam!r}")
         else:
             if self.degree_pmf is None and self.degree_seq is None:
                 raise ValueError("configuration model needs degree_pmf or degree_seq")

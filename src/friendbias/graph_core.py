@@ -108,14 +108,11 @@ def build_graph(n: int, edges) -> Graph:
 
 @dataclass
 class ComponentInfo:
-    """Connected-component labels plus the structural flags used by the
-    equality characterisations of the average bias."""
+    """Connected-component labels, with each component's size and degree
+    sum."""
 
     component_id: np.ndarray
     sizes: list[int]
-    is_bipartite: list[bool]
-    is_regular: list[bool]
-    is_biregular_bipartite: list[bool]
     degree_sums: list[int]
 
 
@@ -137,49 +134,17 @@ def _min_labels(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
             label = jumped
 
 
-def _constant_per_key(keys: np.ndarray, values: np.ndarray,
-                      size: int) -> np.ndarray:
-    """For each key in [0, size): are the nonnegative `values` at that key
-    all equal? An absent key counts as constant."""
-    lo = np.full(size, np.iinfo(np.int64).max)
-    hi = np.full(size, -1, dtype=np.int64)
-    np.minimum.at(lo, keys, values)
-    np.maximum.at(hi, keys, values)
-    return lo >= hi
-
-
 def analyze_components(g: Graph) -> ComponentInfo:
-    """Label components and compute bipartiteness / regularity flags.
-
-    Components are numbered in order of their smallest vertex. The labels
-    come from the bipartite double cover (vertex x has copies x and x + n,
-    and edge (u, v) becomes (u, v + n) and (u + n, v)): a component is
-    bipartite exactly when the two copies of its vertices stay apart, and
-    the copy of x that shares a cover component with the smallest vertex
-    gives x's colour. A self-loop is an odd cycle and makes its component
-    non-bipartite. A component is bi-regular bipartite when it is bipartite
-    and the degree is constant on each colour class.
-    """
-    n = g.n
-    u, v = g.edges[:, 0], g.edges[:, 1]
-    cover = _min_labels(2 * n, np.concatenate((u, u + n)),
-                        np.concatenate((v + n, v)))
-    side0, side1 = cover[:n], cover[n:]
-    roots, comp = np.unique(np.minimum(side0, side1), return_inverse=True)
-    color = side0 != roots[comp]
+    """Label the connected components, numbered in order of their smallest
+    vertex."""
+    roots, comp = np.unique(_min_labels(g.n, g.edges[:, 0], g.edges[:, 1]),
+                            return_inverse=True)
     c = roots.size
-    bipartite = (side0 != side1)[roots]
-    sides_regular = _constant_per_key(2 * comp + color, g.degrees, 2 * c)
     degree_sums = np.zeros(c, dtype=np.int64)
     np.add.at(degree_sums, comp, g.degrees)
-    return ComponentInfo(
-        component_id=comp,
-        sizes=np.bincount(comp, minlength=c).tolist(),
-        is_bipartite=bipartite.tolist(),
-        is_regular=_constant_per_key(comp, g.degrees, c).tolist(),
-        is_biregular_bipartite=(bipartite
-                                & sides_regular.reshape(c, 2).all(axis=1)).tolist(),
-        degree_sums=degree_sums.tolist())
+    return ComponentInfo(component_id=comp,
+                         sizes=np.bincount(comp, minlength=c).tolist(),
+                         degree_sums=degree_sums.tolist())
 
 
 EXPLORATION_KINDS = ("bt", "nb", "lazy")
@@ -189,30 +154,24 @@ EXPLORATION_KINDS = ("bt", "nb", "lazy")
 class ValidationReport:
     """Outcome of checking a graph against a walk kind's structural needs."""
 
-    kind: str
     ok: bool
     violations: list[int]
-    min_degree: int
     message: str
 
 
 def validate_for_exploration(g: Graph, kind: str) -> ValidationReport:
     """Report whether `g` supports the requested exploration.
 
-    Non-backtracking walks need minimum degree 2 (the report's min_degree
-    also shows whether every degree is at least 3, which stronger
-    convergence statements require). Backtracking and lazy walks need a
-    graph without self-loops and without isolated vertices.
+    Non-backtracking walks need minimum degree 2. Backtracking and lazy
+    walks need a graph without self-loops and without isolated vertices.
     """
     if kind not in EXPLORATION_KINDS:
         raise ValueError(f"unknown exploration kind {kind!r}")
-    mindeg = int(g.degrees.min()) if g.n else 0
     if kind == "nb":
         viol = np.flatnonzero(g.degrees < 2)
         ok = viol.size == 0
         msg = "ok" if ok else f"{viol.size} vertices of degree < 2"
-        return ValidationReport(kind=kind, ok=ok, violations=viol.tolist(),
-                                min_degree=mindeg, message=msg)
+        return ValidationReport(ok=ok, violations=viol.tolist(), message=msg)
     loops = np.unique(g.tails[g.tails == g.heads])
     isolated = np.flatnonzero(g.degrees == 0)
     viol = np.union1d(loops, isolated)
@@ -223,8 +182,7 @@ def validate_for_exploration(g: Graph, kind: str) -> ValidationReport:
     if isolated.size:
         parts.append(f"{isolated.size} isolated vertices")
     msg = "ok" if ok else ", ".join(parts)
-    return ValidationReport(kind=kind, ok=ok, violations=viol.tolist(),
-                            min_degree=mindeg, message=msg)
+    return ValidationReport(ok=ok, violations=viol.tolist(), message=msg)
 
 
 def save_edge_list(g: Graph, path) -> None:

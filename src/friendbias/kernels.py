@@ -30,8 +30,6 @@ from . import measures
 from .graph_core import (ExplorationPreconditionError, Graph,
                          validate_for_exploration)
 
-WEIGHT_TOL = 1e-12
-
 
 class KernelError(ExplorationPreconditionError):
     """A kernel was applied to a graph that cannot support it."""
@@ -51,7 +49,7 @@ class DistVector:
         if np.any(self.weights < 0):
             raise ValueError("negative probability weight")
         total = float(self.weights.sum())
-        if abs(total - 1.0) > WEIGHT_TOL:
+        if abs(total - 1.0) > measures.WEIGHT_TOL:
             raise ValueError(f"weights sum to {total!r}, not 1")
 
     @classmethod

@@ -143,16 +143,13 @@ class EmpiricalMeasure:
         with open(path) as fh:
             return cls.from_dict(json.load(fh))
 
-    def histogram(self, bins) -> list[tuple[float, float, float]]:
-        """(bin_left, bin_right, mass) rows for integer `bins` or explicit
-        edge array; the final bin is closed on the right."""
-        if np.isscalar(bins):
-            lo, hi = float(self.values[0]), float(self.values[-1])
-            if hi <= lo:
-                hi = lo + 1.0
-            edges = np.linspace(lo, hi, int(bins) + 1)
-        else:
-            edges = np.asarray(bins, dtype=np.float64)
+    def histogram(self, bins: int) -> list[tuple[float, float, float]]:
+        """(bin_left, bin_right, mass) rows for `bins` equal bins spanning
+        the atoms; the final bin is closed on the right."""
+        lo, hi = float(self.values[0]), float(self.values[-1])
+        if hi <= lo:
+            hi = lo + 1.0
+        edges = np.linspace(lo, hi, bins + 1)
         masses, _ = np.histogram(self.values, bins=edges, weights=self.weights)
         return [(float(edges[i]), float(edges[i + 1]), float(masses[i]))
                 for i in range(len(edges) - 1)]

@@ -25,7 +25,7 @@ on one tree are test references in `tests/gw_reference.py`;
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -39,7 +39,6 @@ class OffspringLaw:
 
     ks: np.ndarray
     ps: np.ndarray
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.ks = np.asarray(self.ks, dtype=np.int64)
@@ -57,11 +56,11 @@ class OffspringLaw:
             raise ValueError(f"pmf sums to {self.ps.sum()!r}, not 1")
 
     @classmethod
-    def from_dict(cls, pmf: dict, meta=None) -> "OffspringLaw":
+    def from_dict(cls, pmf: dict) -> "OffspringLaw":
         items = sorted((int(k), float(v)) for k, v in pmf.items())
         ks = np.array([k for k, v in items if v != 0], dtype=np.int64)
         ps = np.array([v for _, v in items if v != 0])
-        return cls(ks=ks, ps=ps, meta=dict(meta or {}))
+        return cls(ks=ks, ps=ps)
 
     def to_dict(self) -> dict:
         return {str(int(k)): float(p) for k, p in zip(self.ks, self.ps)}
@@ -96,30 +95,30 @@ class OffspringLaw:
         keep = self.ks >= 1
         ks = self.ks[keep] - 1
         ps = self.ks[keep] * self.ps[keep] / m1
-        return OffspringLaw(ks=ks, ps=ps,
-                            meta={"size_biased_from": self.to_dict()})
+        return OffspringLaw(ks=ks, ps=ps)
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         return rng.choice(self.ks, size=size, p=self.ps)
 
 
-def truncated_poisson(lam: float, tail_mass: float = 1e-12) -> OffspringLaw:
+POISSON_TAIL_MASS = 1e-12
+
+
+def truncated_poisson(lam: float) -> OffspringLaw:
     """Poisson(lam) truncated where the remaining tail drops below
-    `tail_mass`, then renormalised; the cut point is kept in meta."""
+    POISSON_TAIL_MASS, then renormalised."""
     if lam <= 0:
         raise ValueError("lam must be positive")
     probs = [math.exp(-lam)]
     cum = probs[0]
     k = 0
-    while 1.0 - cum > tail_mass:
+    while 1.0 - cum > POISSON_TAIL_MASS:
         k += 1
         probs.append(probs[-1] * lam / k)
         cum += probs[-1]
     ps = np.array(probs)
     ps /= ps.sum()
-    return OffspringLaw(ks=np.arange(k + 1), ps=ps,
-                        meta={"poisson_lam": lam, "truncated_at": k,
-                              "tail_mass": tail_mass})
+    return OffspringLaw(ks=np.arange(k + 1), ps=ps)
 
 
 def exact_mu(p: OffspringLaw, meta=None) -> measures.EmpiricalMeasure:

@@ -1,15 +1,31 @@
 """Reference component analysis by breadth-first search with 2-colouring.
 
-Test oracle for `graph_core.analyze_components`: components are numbered
-in order of their smallest vertex, and each gets the same structural flags.
+Test oracle for `graph_core.analyze_components`, which numbers components
+in order of their smallest vertex as this search does. The search also
+gives each component the structural flags behind the equality
+characterisations of the average bias: bipartite, regular, and bi-regular
+bipartite (bipartite with a constant degree on each colour class). A
+self-loop is an odd cycle and makes its component non-bipartite.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 
-from friendbias.graph_core import ComponentInfo, Graph
+from friendbias.graph_core import Graph
 
 
-def bfs_components(g: Graph) -> ComponentInfo:
+@dataclass
+class Components:
+    component_id: np.ndarray
+    sizes: list[int]
+    is_bipartite: list[bool]
+    is_regular: list[bool]
+    is_biregular_bipartite: list[bool]
+    degree_sums: list[int]
+
+
+def bfs_components(g: Graph) -> Components:
     comp = np.full(g.n, -1, dtype=np.int64)
     color = np.full(g.n, -1, dtype=np.int8)
     sizes, bip, reg, bireg, dsums = [], [], [], [], []
@@ -50,6 +66,6 @@ def bfs_components(g: Graph) -> ComponentInfo:
         else:
             bireg.append(False)
         cid += 1
-    return ComponentInfo(component_id=comp, sizes=sizes, is_bipartite=bip,
-                         is_regular=reg, is_biregular_bipartite=bireg,
-                         degree_sums=dsums)
+    return Components(component_id=comp, sizes=sizes, is_bipartite=bip,
+                      is_regular=reg, is_biregular_bipartite=bireg,
+                      degree_sums=dsums)

@@ -14,7 +14,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from friendbias import (GenSpec, analyze_components, bias_all, build_graph,
+from friendbias import (GenSpec, bias_all, build_graph,
                         erase_to_simple, gen_configuration_model,
                         gen_erdos_renyi, largest_component, mix_seed, realize,
                         sample_degree_sequence, truncated_poisson,
@@ -28,6 +28,7 @@ from friendbias.stationary import (mixing_time, pi_vertex,
                                    stationarity_residual, stationary_bias)
 from friendbias.tree_limits import OffspringLaw, exact_mu, sample_mu, sample_mu_star
 
+from component_bfs import bfs_components
 from tree_enum_oracle import mu_mean_enumerated, mu_star_mean_enumerated
 from walk_oracle import bt_avg_bias_is_zero
 
@@ -43,7 +44,7 @@ def _er_giants(count, n, lam, master):
         g = realize(GenSpec(model="erdos_renyi", n=n, lam=lam,
                             seed=mix_seed(master, i)), restrict_giant=True)
         i += 1
-        info = analyze_components(g)
+        info = bfs_components(g)
         if g.n >= 10 and len(info.sizes) == 1 and not info.is_bipartite[0]:
             out.append(g)
     return out
@@ -56,7 +57,7 @@ def _cm_erased(count, n, pmf, master, min_degree=2):
         i += 1
         seq = sample_degree_sequence(pmf, n, mix_seed(seed, 0))
         g, _ = erase_to_simple(gen_configuration_model(seq, mix_seed(seed, 1)))
-        info = analyze_components(g)
+        info = bfs_components(g)
         if (len(info.sizes) == 1 and not info.is_bipartite[0]
                 and int(g.degrees.min()) >= min_degree):
             out.append(g)
@@ -131,7 +132,7 @@ def test_ac02_equality_characterization_exhaustive():
         counts[n] = counts.get(n, 0) + 1
         total += 1
         g = build_graph(n, edges)
-        info = analyze_components(g)
+        info = bfs_components(g)
         reg = all(info.is_regular)
         reg_or_bireg = all(r or b for r, b in
                            zip(info.is_regular, info.is_biregular_bipartite))
@@ -145,8 +146,8 @@ def test_ac02_equality_characterization_exhaustive():
     fig_b = small_graph_corpus()["nb_zero_k4"]
     figs_ok = (oracle_avg_bias_exact(fig_a, 3, "nb") == Fraction(0)
                and oracle_avg_bias_exact(fig_b, 4, "nb") == Fraction(0)
-               and not all(analyze_components(fig_a).is_regular)
-               and not all(analyze_components(fig_b).is_regular))
+               and not all(bfs_components(fig_a).is_regular)
+               and not all(bfs_components(fig_b).is_regular))
     elapsed = time.time() - t0
     _report("AC-2", mismatches == 0 and counts_ok and figs_ok and elapsed < 300,
             f"{total} connected graphs x k=1..4, {mismatches} mismatches, "

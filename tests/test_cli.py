@@ -201,14 +201,36 @@ def test_unparsable_pmf_exits_2(tmp_path, capsys, pmf, cause):
      "degree_seq entry 0: 1.5 is not a non-negative integer"),
     ({"model": "configuration", "n": 2, "degree_seq": [1.5, 0.5]},
      "degree_seq entry 0: 1.5 is not a non-negative integer"),
+    ({"model": "erdos_renyi", "n": 40, "lam": math.nan},
+     "erdos_renyi requires a finite lam, got nan"),
+    ({"model": "erdos_renyi", "n": 40, "lam": math.inf},
+     "erdos_renyi requires a finite lam, got inf"),
+    ({"model": "erdos_renyi", "n": 40, "lam": 10 ** 400},
+     "erdos_renyi requires a finite lam, got 1000"),
 ], ids=["degree_pmf", "lam", "n", "not_an_object", "n_null", "seed_null",
         "degree_seq_not_a_list", "degree_seq_fractional_even_sum",
-        "degree_seq_fractional_odd_sum"])
+        "degree_seq_fractional_odd_sum", "lam_nan", "lam_inf",
+        "lam_huge_int"])
 def test_malformed_gen_spec_exits_2(tmp_path, capsys, gen, cause):
     cfg = write_config(tmp_path, "cfg.json", experiment="bias", gen=gen,
                        kind="bt", k=2, out=str(tmp_path / "out"))
     assert main(["bias", "--config", cfg]) == 2
     assert f"config error: bad gen spec: {cause}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("k", ["log_n(inf)", "log_n(nan)", "log_n(1e400)",
+                               "mix10(inf)", "mix10(nan)"])
+def test_non_finite_schedule_exits_2(tmp_path, capsys, k):
+    # before, log_n(inf) overflowed with a traceback, log_n(nan) failed
+    # naming no key and mix10(inf) ran with k_n = 10
+    cfg = write_config(tmp_path, "cfg.json", experiment="joint",
+                       gen={"model": "configuration", "n": 40,
+                            "degree_pmf": {"3": 0.5, "4": 0.5}},
+                       kind="nb", n_grid=[40], k=k, out=str(tmp_path / "out"))
+    assert main(["joint", "--config", cfg]) == 2
+    assert ("config error: k schedule parameter must be finite and positive"
+            in capsys.readouterr().err)
     assert not (tmp_path / "out").exists()
 
 
@@ -276,6 +298,12 @@ def test_zero_mean_offspring_law_exits_2(tmp_path, capsys, experiment, extra):
     ("window_N", 1.5), ("k", [-2]), ("k", [1.5]), ("k", -1), ("k", 2.5),
     ("n_grid", [40.5]), ("n_grid", 40), ("n_grid", ["abc"]), ("n_grid", [0]),
     ("eps_list", 0.1), ("eps_list", ["a"]), ("delta", "x"),
+    # json writes and reads NaN and Infinity; an integer too large for a
+    # float is refused like an infinity
+    ("delta", math.nan), ("delta", math.inf),
+    pytest.param("delta", 10 ** 400, id="delta-huge_int"),
+    ("eps_list", [math.nan, math.inf]),
+    pytest.param("eps_list", [10 ** 400], id="eps_list-huge_int"),
 ])
 def test_bad_config_values_exit_2(tmp_path, capsys, key, value):
     fields = dict(gen={"model": "configuration", "n": 40,

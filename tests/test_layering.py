@@ -180,3 +180,53 @@ def test_package_holds_only_what_the_cli_and_quick_start_reach():
 
 def test_tree_limits_import_only_measures():
     assert import_graph()["tree_limits"] == {"measures"}
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    for deco in node.decorator_list:
+        target = deco.func if isinstance(deco, ast.Call) else deco
+        name = target.attr if isinstance(target, ast.Attribute) \
+            else getattr(target, "id", None)
+        if name == "dataclass":
+            return True
+    return False
+
+
+def unread_fields(sources) -> list:
+    """`Class.field` for every annotated field of a dataclass in `sources`
+    whose name is never the attribute of a load (`x.field`) in them.
+
+    The check goes by name alone: a field counts as read when any object's
+    attribute of that name is read. So it cannot see an unread field that
+    shares its name with a read attribute of another class, such as a
+    `kind` or `meta` field."""
+    trees = [ast.parse(source) for source in sources]
+    loaded = {node.attr for tree in trees for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute)
+              and isinstance(node.ctx, ast.Load)}
+    return sorted(
+        f"{node.name}.{stmt.target.id}"
+        for tree in trees for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef) and _is_dataclass(node)
+        for stmt in node.body
+        if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+        and stmt.target.id not in loaded)
+
+
+def test_field_reader_sees_loads_not_stores():
+    # two made-up sources: one reads a field, the other only stores one
+    sources = [
+        "import dataclasses\nfrom dataclasses import dataclass, field\n"
+        "@dataclass\nclass A:\n    read: int\n    stored: int = 0\n"
+        "@dataclasses.dataclass(eq=False)\nclass B:\n"
+        "    other: list = field(default_factory=list)\n"
+        "class NotData:\n    plain: int\n",
+        "def f(a, b):\n    a.stored = b.read\n    return a.plain\n",
+    ]
+    assert unread_fields(sources) == ["A.stored", "B.other"]
+
+
+def test_every_dataclass_field_is_read_in_src():
+    sources = [p.read_text() for p in sorted(PACKAGE.glob("*.py"))]
+    unread = unread_fields(sources)
+    assert unread == [], f"fields stored but never read: {unread}"

@@ -91,7 +91,7 @@ def test_pmf_validation():
 def test_truncated_poisson_metadata():
     p = truncated_poisson(4.0)
     assert abs(float(p.ps.sum()) - 1.0) <= 1e-12
-    assert p.meta["truncated_at"] > 20
+    assert p.ks[-1] > 20
     assert p.m1 == pytest.approx(4.0, abs=1e-9)
 
 
