@@ -1,7 +1,8 @@
-"""The import graph between the modules of `friendbias`, and the package
-definitions that the CLI and the README quick start reach, both read from
-the source with ast, function-local imports included. Importing the
-package would not show them: `friendbias/__init__` imports every module."""
+"""The import graph between the modules of `friendbias`, the package
+definitions that the CLI and the README quick start reach, and the
+dataclass fields the package reads, all read from the source with ast,
+function-local imports included. Importing the package would not show
+them: `friendbias/__init__` imports every module."""
 
 import ast
 import re
