@@ -99,9 +99,10 @@ class ExperimentConfig:
             raise ConfigError(f"n_grid must be null or a list of integers "
                               f">= 1, got {self.n_grid!r}")
         if not (isinstance(self.eps_list, list)
-                and all(_is_finite_number(eps) for eps in self.eps_list)):
-            raise ConfigError(f"eps_list must be a list of finite numbers, got "
-                              f"{self.eps_list!r}")
+                and all(_is_finite_number(eps) and 0 < eps < 1
+                        for eps in self.eps_list)):
+            raise ConfigError(f"eps_list must be a list of numbers in (0, 1), "
+                              f"got {self.eps_list!r}")
         if self.scope not in ("global", "component"):
             raise ConfigError(f"unknown scope {self.scope!r}")
         if self.distance not in measures.DISTANCES:
@@ -159,6 +160,10 @@ def parse_schedule(text: str):
             if not (math.isfinite(value) and value > 0):
                 raise ConfigError(f"k schedule parameter must be finite and "
                                   f"positive, got {text!r}")
+            if name == "mix10" and value >= 1:
+                # every law is within TV 1 of stationarity: level 1 would cross
+                raise ConfigError(f"k schedule mix10(eps) needs eps < 1, "
+                                  f"got {text!r}")
             return name, value
     raise ConfigError(f"unknown schedule {text!r}")
 

@@ -68,7 +68,10 @@ class GenSpec:
         if self.model not in ("erdos_renyi", "configuration"):
             raise ValueError(f"unknown model {self.model!r}")
         if self.model == "erdos_renyi":
-            if not isinstance(self.lam, numbers.Real) or self.lam <= 0:
+            # bool is a numbers.Real, and would be written back as true
+            if (isinstance(self.lam, bool)
+                    or not isinstance(self.lam, numbers.Real)
+                    or self.lam <= 0):
                 raise ValueError(f"erdos_renyi requires lam > 0, got {self.lam!r}")
             if not is_finite(self.lam):
                 raise ValueError(f"erdos_renyi requires a finite lam, got "

@@ -26,9 +26,11 @@ DEFAULT_EPS = (0.25, 0.01, 1e-4)
 
 # beyond this many exact start states a subsample must be requested
 MAX_EXACT_STATES = 4096
-# largest dense states x starts float64 batch a mixing computation allocates;
-# each level makes a few temporaries of the same size
+# largest dense states x starts float64 batch a mixing computation allocates
 MAX_DENSE_BYTES = 1 << 28
+# bytes of one column block of that batch: each level pushes a block, and
+# the few same-size temporaries of its push, while they sit in cache
+BLOCK_BYTES = 1 << 20
 
 
 def _stationary_degrees(g: Graph) -> np.ndarray:
@@ -138,13 +140,43 @@ def _worst_tv(W: np.ndarray, pi: np.ndarray, pairwise: bool) -> float:
     return 0.5 * float(np.abs(W - pi[:, None]).sum(axis=0).max())
 
 
+def _column_blocks(starts: np.ndarray, states: int) -> list[np.ndarray]:
+    """Split the start states into consecutive column blocks of about
+    BLOCK_BYTES each, and of at least two columns.
+
+    No block is one column wide unless the whole batch is: numpy sums a
+    contiguous (states, 1) array pairwise down axis 0, not state by state
+    as `_worst_tv` needs for the nb edge chain. So a one-column remainder
+    joins the block before it.
+    """
+    width = max(2, BLOCK_BYTES // (8 * states))
+    cuts = list(range(width, starts.size, width))
+    if cuts and starts.size - cuts[-1] == 1:
+        cuts.pop()
+    return np.split(starts, cuts)
+
+
+def _step_blocks(blocks: list, step, tv) -> float:
+    """Replace each block by step(block) and return the largest tv(block).
+
+    Columns never mix and the max is exact, so this equals tv of the
+    whole stepped batch bit for bit.
+    """
+    worst = 0.0
+    for i in range(len(blocks)):
+        blocks[i] = step(blocks[i])
+        worst = max(worst, tv(blocks[i]))
+    return worst
+
+
 def _tv_levels(op: WalkOperator, k_max: int, starts_cap, vertex_curve: bool):
     """Yield (k, D_k, vertex D_k or None) for k = 1..k_max: the worst-case
     TV distance to stationarity over the picked start states, and for nb
     with `vertex_curve` the same over start vertices after projection.
 
     The dense batches are refused before allocation when they would exceed
-    MAX_DENSE_BYTES.
+    MAX_DENSE_BYTES. They are held as column blocks (`_column_blocks`), so
+    no level ever builds a whole batch.
     """
     g = op.g
     starts = _pick_starts(op.states, starts_cap)
@@ -157,23 +189,29 @@ def _tv_levels(op: WalkOperator, k_max: int, starts_cap, vertex_curve: bool):
             f"{op.states} states needs {dense} bytes, over the "
             f"{MAX_DENSE_BYTES}-byte limit; lower starts_cap")
     pi = _pi_states(op).weights
-    W = np.zeros((op.states, starts.size))
-    W[starts, np.arange(starts.size)] = 1.0
-    V = None
+    W = []
+    for block in _column_blocks(starts, op.states):
+        w = np.zeros((op.states, block.size))
+        w[block, np.arange(block.size)] = 1.0
+        W.append(w)
+    V = []
     if v_starts.size:
         # the k-step vertex law projects the lift after k-1 edge pushes
-        V = np.zeros((op.states, v_starts.size))
-        for col, s in enumerate(v_starts):
-            V[:, col] = op.lift(int(s))
+        for block in _column_blocks(v_starts, op.states):
+            v = np.zeros((op.states, block.size))
+            for col, s in enumerate(block):
+                v[:, col] = op.lift(int(s))
+            V.append(v)
         pi_v = pi_vertex(g).weights
+    pairwise = op.kind != "nb"
     for k in range(1, k_max + 1):
-        W = op.push(W)
+        d = _step_blocks(W, op.push, lambda w: _worst_tv(w, pi, pairwise))
         d_vertex = None
-        if V is not None:
-            if k > 1:
-                V = op.push(V)
-            d_vertex = _worst_tv(op.to_vertices(V), pi_v, pairwise=True)
-        yield k, _worst_tv(W, pi, pairwise=op.kind != "nb"), d_vertex
+        if V:
+            d_vertex = _step_blocks(
+                V, op.push if k > 1 else (lambda v: v),
+                lambda v: _worst_tv(op.to_vertices(v), pi_v, pairwise=True))
+        yield k, d, d_vertex
 
 
 def mixing_profile(g: Graph, kind: str, k_max: int,

@@ -207,10 +207,12 @@ def test_unparsable_pmf_exits_2(tmp_path, capsys, pmf, cause):
      "erdos_renyi requires a finite lam, got inf"),
     ({"model": "erdos_renyi", "n": 40, "lam": 10 ** 400},
      "erdos_renyi requires a finite lam, got 1000"),
+    ({"model": "erdos_renyi", "n": 40, "lam": True},
+     "erdos_renyi requires lam > 0, got True"),
 ], ids=["degree_pmf", "lam", "n", "not_an_object", "n_null", "seed_null",
         "degree_seq_not_a_list", "degree_seq_fractional_even_sum",
         "degree_seq_fractional_odd_sum", "lam_nan", "lam_inf",
-        "lam_huge_int"])
+        "lam_huge_int", "lam_bool"])
 def test_malformed_gen_spec_exits_2(tmp_path, capsys, gen, cause):
     cfg = write_config(tmp_path, "cfg.json", experiment="bias", gen=gen,
                        kind="bt", k=2, out=str(tmp_path / "out"))
@@ -230,6 +232,20 @@ def test_non_finite_schedule_exits_2(tmp_path, capsys, k):
                        kind="nb", n_grid=[40], k=k, out=str(tmp_path / "out"))
     assert main(["joint", "--config", cfg]) == 2
     assert ("config error: k schedule parameter must be finite and positive"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("k", ["mix10(1)", "mix10(1.5)", "mix10(1e3)"])
+def test_mix10_eps_of_one_or_more_exits_2(tmp_path, capsys, k):
+    # every law is within TV 1 of stationarity, so the crossing was level 1
+    # on any graph and the run went on at k = 10
+    cfg = write_config(tmp_path, "cfg.json", experiment="joint",
+                       gen={"model": "configuration", "n": 40,
+                            "degree_pmf": {"3": 0.5, "4": 0.5}},
+                       kind="nb", n_grid=[40], k=k, out=str(tmp_path / "out"))
+    assert main(["joint", "--config", cfg]) == 2
+    assert (f"config error: k schedule mix10(eps) needs eps < 1, got {k!r}"
             in capsys.readouterr().err)
     assert not (tmp_path / "out").exists()
 
@@ -304,6 +320,10 @@ def test_zero_mean_offspring_law_exits_2(tmp_path, capsys, experiment, extra):
     pytest.param("delta", 10 ** 400, id="delta-huge_int"),
     ("eps_list", [math.nan, math.inf]),
     pytest.param("eps_list", [10 ** 400], id="eps_list-huge_int"),
+    # a crossing of eps >= 1 is level 1 on any graph, and eps <= 0 is never
+    # reached
+    ("eps_list", [0.01, 1.0]), ("eps_list", [1.5]), ("eps_list", [0]),
+    ("eps_list", [-0.1]),
 ])
 def test_bad_config_values_exit_2(tmp_path, capsys, key, value):
     fields = dict(gen={"model": "configuration", "n": 40,

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,7 +11,7 @@ from friendbias import stationary
 from friendbias.kernels import KernelError, SizeGuardError
 from friendbias.measures import EmpiricalMeasure, levy_distance
 from friendbias.oracle import small_graph_corpus
-from friendbias.stationary import _pick_starts
+from friendbias.stationary import _column_blocks, _pick_starts
 
 from conftest import dense_transition
 
@@ -223,6 +225,77 @@ def test_mixing_levels_match_row_major_reference_bit_for_bit(g, kind, cap,
         first = next(k for k, d in enumerate(want, 1) if d <= eps)
         assert mixing_time(g, kind, float(eps), k_max, delta=0.3,
                            starts_cap=cap) == first
+
+
+@pytest.mark.parametrize("width, sizes", [
+    (2, [2] * 7 + [3]),         # a one-column remainder joins the last block
+    (3, [3] * 5 + [2]),
+    (8, [8, 9]),
+    (None, [17]),               # the default budget: one whole-batch block
+], ids=["width-2", "width-3", "width-8", "whole-batch"])
+@pytest.mark.parametrize("kind", ["bt", "lazy", "nb"])
+def test_mixing_blocks_match_row_major_reference_bit_for_bit(monkeypatch, kind,
+                                                             width, sizes):
+    """Any split of the batch into column blocks gives the row-major
+    reference levels bit for bit. On this nb chain a split that left the
+    last start alone in a block would sum it pairwise and change D_k at
+    27 of the 30 levels."""
+    from friendbias import GenSpec, WalkOperator, realize
+    from mixing_reference import tv_levels_rows
+    g = realize(GenSpec(model="configuration", n=300,
+                        degree_pmf={"2": 0.3, "3": 0.4, "4": 0.3}, seed=48),
+                erase=kind != "nb")
+    k_max, cap = 30, 17
+    op = WalkOperator(g, kind, 0.3)
+    if width is not None:
+        monkeypatch.setattr(stationary, "BLOCK_BYTES", 8 * op.states * width)
+    assert [b.size for b in _column_blocks(_pick_starts(op.states, cap),
+                                           op.states)] == sizes
+    if kind == "nb":
+        assert [b.size for b in _column_blocks(_pick_starts(g.n, cap),
+                                               op.states)] == sizes
+    ref = list(tv_levels_rows(op, k_max, cap, vertex_curve=True))
+    want = np.array([d for _, d, _ in ref])
+    prof = mixing_profile(g, kind, k_max, delta=0.3, starts_cap=cap)
+
+    def bits(values):
+        return np.asarray(values, dtype=np.float64).view(np.int64)
+
+    assert np.array_equal(bits(prof.D_values), bits(want))
+    if kind == "nb":
+        assert np.array_equal(bits(prof.D_vertex_values),
+                              bits([dv for _, _, dv in ref]))
+    for eps in want[[0, 4, 14, k_max - 1]]:
+        first = next(k for k, d in enumerate(want, 1) if d <= eps)
+        assert mixing_time(g, kind, float(eps), k_max, delta=0.3,
+                           starts_cap=cap) == first
+
+
+def test_column_blocks_never_leave_one_column_alone(monkeypatch):
+    monkeypatch.setattr(stationary, "BLOCK_BYTES", 8 * 100 * 4)
+    assert [b.size for b in _column_blocks(np.arange(9), 100)] == [4, 5]
+    assert [b.size for b in _column_blocks(np.arange(10), 100)] == [4, 4, 2]
+    # a budget under two columns still takes two at a time
+    assert [b.size for b in _column_blocks(np.arange(5), 10 ** 6)] == [2, 3]
+    assert [b.size for b in _column_blocks(np.arange(1), 10 ** 6)] == [1]
+    blocks = _column_blocks(np.arange(7, 30), 100)
+    assert np.concatenate(blocks).tolist() == list(range(7, 30))
+
+
+def test_mixing_batch_is_never_built_whole():
+    """The column blocks bound the peak memory of a level below twice the
+    batch; a whole-batch push and its temporaries took over five times."""
+    from friendbias import GenSpec, realize
+    g = realize(GenSpec(model="configuration", n=20000,
+                        degree_pmf={"3": 0.5, "4": 0.5}, seed=7), erase=True)
+    batch = 48 * g.n * 8
+    tracemalloc.start()
+    try:
+        assert mixing_time(g, "bt", 1e-9, 5, starts_cap=48) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * batch
 
 
 def test_pick_starts_guard():
