@@ -195,20 +195,12 @@ def _mixing_cases():
             yield pytest.param(g, kind, cap, label, id=f"{kind}-{label}")
 
 
-@pytest.mark.parametrize("g, kind, cap, label", _mixing_cases())
-def test_mixing_levels_match_row_major_reference_bit_for_bit(g, kind, cap,
-                                                             label):
+def _assert_levels_match_reference(g, kind, cap, k_max=30):
+    """mixing_profile's curves and mixing_time's crossings against the
+    row-major reference levels, bit for bit."""
     from friendbias import WalkOperator
     from mixing_reference import tv_levels_rows
-    assert validate_for_exploration(g, "bt" if kind == "lazy" else kind).ok
-    k_max = 30
     op = WalkOperator(g, kind, 0.3)
-    if label == "over-128-states":
-        assert g.n > 128                    # pairwise blocks in the TV sums
-    elif label == "wide-degrees":
-        assert int(g.degrees.max()) > 8     # the long reduceat segments
-    else:
-        assert cap < g.n
     ref = list(tv_levels_rows(op, k_max, cap, vertex_curve=True))
     want = np.array([d for _, d, _ in ref])
     prof = mixing_profile(g, kind, k_max, delta=0.3, starts_cap=cap)
@@ -227,6 +219,19 @@ def test_mixing_levels_match_row_major_reference_bit_for_bit(g, kind, cap,
                            starts_cap=cap) == first
 
 
+@pytest.mark.parametrize("g, kind, cap, label", _mixing_cases())
+def test_mixing_levels_match_row_major_reference_bit_for_bit(g, kind, cap,
+                                                             label):
+    assert validate_for_exploration(g, "bt" if kind == "lazy" else kind).ok
+    if label == "over-128-states":
+        assert g.n > 128                    # pairwise blocks in the TV sums
+    elif label == "wide-degrees":
+        assert int(g.degrees.max()) > 8     # the long reduceat segments
+    else:
+        assert cap < g.n
+    _assert_levels_match_reference(g, kind, cap)
+
+
 @pytest.mark.parametrize("width, sizes", [
     (2, [2] * 7 + [3]),         # a one-column remainder joins the last block
     (3, [3] * 5 + [2]),
@@ -240,35 +245,21 @@ def test_mixing_blocks_match_row_major_reference_bit_for_bit(monkeypatch, kind,
     reference levels bit for bit. On this nb chain a split that left the
     last start alone in a block would sum it pairwise and change D_k at
     27 of the 30 levels."""
-    from friendbias import GenSpec, WalkOperator, realize
-    from mixing_reference import tv_levels_rows
+    from friendbias import GenSpec, realize
     g = realize(GenSpec(model="configuration", n=300,
                         degree_pmf={"2": 0.3, "3": 0.4, "4": 0.3}, seed=48),
                 erase=kind != "nb")
-    k_max, cap = 30, 17
-    op = WalkOperator(g, kind, 0.3)
+    cap = 17
+    states = g.num_half_edges if kind == "nb" else g.n
     if width is not None:
-        monkeypatch.setattr(stationary, "BLOCK_BYTES", 8 * op.states * width)
-    assert [b.size for b in _column_blocks(_pick_starts(op.states, cap),
-                                           op.states)] == sizes
+        monkeypatch.setattr(stationary, "BLOCK_BYTES", 8 * states * width)
+    assert [b.size for b in _column_blocks(_pick_starts(states, cap),
+                                           states)] == sizes
     if kind == "nb":
+        # the start vertices of the projected curve split the same way
         assert [b.size for b in _column_blocks(_pick_starts(g.n, cap),
-                                               op.states)] == sizes
-    ref = list(tv_levels_rows(op, k_max, cap, vertex_curve=True))
-    want = np.array([d for _, d, _ in ref])
-    prof = mixing_profile(g, kind, k_max, delta=0.3, starts_cap=cap)
-
-    def bits(values):
-        return np.asarray(values, dtype=np.float64).view(np.int64)
-
-    assert np.array_equal(bits(prof.D_values), bits(want))
-    if kind == "nb":
-        assert np.array_equal(bits(prof.D_vertex_values),
-                              bits([dv for _, _, dv in ref]))
-    for eps in want[[0, 4, 14, k_max - 1]]:
-        first = next(k for k, d in enumerate(want, 1) if d <= eps)
-        assert mixing_time(g, kind, float(eps), k_max, delta=0.3,
-                           starts_cap=cap) == first
+                                               states)] == sizes
+    _assert_levels_match_reference(g, kind, cap)
 
 
 def test_column_blocks_never_leave_one_column_alone(monkeypatch):
