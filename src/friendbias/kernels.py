@@ -81,11 +81,14 @@ class _VertexSums:
     Vertices with at most SEQUENTIAL_TERMS terms are sorted by degree,
     descending, so column j, the j-th term of every such vertex of degree
     > j, covers a prefix of them. A call gathers each column once, adds
-    columns 1.. in order into one slice, adds column 0 and scatters once;
-    that is reduceat's float order. Longer segments keep reduceat, along
-    the last axis, where it sums each segment pairwise. Every segment must
-    be non-empty. The int32 columns are read through np.take: a fancy
-    index with int32 casts it on every call.
+    columns 1.. in order into one slice and adds column 0; that is
+    reduceat's float order. Longer segments keep reduceat, along the last
+    axis, where it sums each segment pairwise, and their sums follow the
+    others. One gather through `position` puts every sum at its vertex; on
+    a 16000 x 8 block of a mixing batch it took about 100 us, where a
+    scatter through `order` took 190-300 us. Every segment must be
+    non-empty. The int32 indices are read through np.take: a fancy index
+    with int32 casts it on every call.
     """
 
     def __init__(self, out_start: np.ndarray, via: np.ndarray):
@@ -103,6 +106,9 @@ class _VertexSums:
         self.long_start = np.cumsum(lengths) - lengths
         offset = np.repeat(out_start[self.long] - self.long_start, lengths)
         self.long_via = via[offset + np.arange(offset.size)]
+        self.position = np.empty(self.n, dtype=via.dtype)
+        self.position[np.concatenate([self.order, self.long])] = np.arange(
+            self.n)
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         head = np.take(x, self.cols[0], axis=0)
@@ -111,14 +117,12 @@ class _VertexSums:
             for col in self.cols[2:]:
                 rest[:col.size] += np.take(x, col, axis=0)
             head[:rest.shape[0]] += rest
-            del rest    # `out` can take its memory: a lower peak on batches
-        out = np.empty((self.n,) + x.shape[1:])
-        out[self.order] = head
+            del rest    # the result can take its memory: a lower peak
         if self.long.size:
             terms = np.moveaxis(np.take(x, self.long_via, axis=0), 0, -1)
-            out[self.long] = np.moveaxis(
-                np.add.reduceat(terms, self.long_start, axis=-1), -1, 0)
-        return out
+            head = np.concatenate([head, np.moveaxis(
+                np.add.reduceat(terms, self.long_start, axis=-1), -1, 0)])
+        return np.take(head, self.position, axis=0)
 
 
 class WalkOperator:
