@@ -276,12 +276,13 @@ def _write_measure(path: Path, m: measures.EmpiricalMeasure,
 
 
 def _write_summary(out: Path, cfg: ExperimentConfig,
-                   m: measures.EmpiricalMeasure, n, k, levy_to_limit) -> None:
+                   m: measures.EmpiricalMeasure, n, k, to_limit) -> None:
+    """One row; `to_limit` is the cfg.distance from m to its limit, or None."""
     _write_csv(out / "summary.csv", cfg,
                ("experiment", "n", "k", "kind", "seed", "mean",
-                "nonneg_fraction", "levy_to_limit"),
+                "nonneg_fraction", f"{cfg.distance}_to_limit"),
                [(cfg.experiment, n, k, cfg.kind, cfg.seed, m.mean(),
-                 m.mass_at_least(0.0), levy_to_limit)])
+                 m.mass_at_least(0.0), to_limit)])
 
 
 def _genspec(cfg: ExperimentConfig) -> generators.GenSpec:
@@ -357,7 +358,7 @@ def run_bias(cfg: ExperimentConfig) -> int:
     else:
         raise ConfigError("replicas > 1 requires a generated family, not a graph file")
     mus = []
-    levy_to_limit = None
+    to_limit = None
     for r, g in enumerate(graphs):
         mus.append(kernels.bias_all(g, k, cfg.kind, delta=cfg.delta,
                                     meta={"replica": r, "seed": cfg.seed}))
@@ -366,7 +367,7 @@ def run_bias(cfg: ExperimentConfig) -> int:
             # configured metric (levy by default), when the limit is defined
             try:
                 limit = stationary.stationary_bias(g, scope=cfg.scope)
-                levy_to_limit = measures.DISTANCES[cfg.distance](mus[0], limit)
+                to_limit = measures.DISTANCES[cfg.distance](mus[0], limit)
             except ExplorationPreconditionError:   # KernelError included
                 pass
     out = Path(cfg.out)
@@ -383,7 +384,7 @@ def run_bias(cfg: ExperimentConfig) -> int:
         _write_measure(out / "bias_measure_annealed.json", primary, cfg)
     _write_csv(out / "bias_histogram.csv", cfg, ("bin_left", "bin_right", "mass"),
                primary.histogram(cfg.bins))
-    _write_summary(out, cfg, primary, mus[0].meta["n"], k, levy_to_limit)
+    _write_summary(out, cfg, primary, mus[0].meta["n"], k, to_limit)
     return 0
 
 
@@ -447,7 +448,7 @@ def run_limit_mu(cfg: ExperimentConfig) -> int:
     _write_measure(out / "mu_measure.json", m, cfg)
     _write_measure(out / "mu_exact.json", limit, cfg)
     _write_summary(out, cfg, m, cfg.n_samples, None,
-                   measures.levy_distance(m, limit))
+                   measures.DISTANCES[cfg.distance](m, limit))
     return 0
 
 
@@ -623,13 +624,21 @@ def _load_config(args) -> ExperimentConfig:
                 data = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
-    data["experiment"] = args.experiment
+    if not isinstance(data, dict):
+        raise ConfigError(f"config {args.config} must be a JSON object")
+    named = data.setdefault("experiment", args.experiment)
+    if named != args.experiment:
+        raise ConfigError(f"config {args.config} is for experiment {named!r}, "
+                          f"not {args.experiment!r}")
     for flag in ("k", "kind", "delta", "seed", "replicas", "out",
                  "restrict_giant"):
         value = getattr(args, flag)
         if value is not None:
             data[flag] = value
     if args.n is not None:
+        if args.experiment in ("joint", "sweep"):
+            raise ConfigError(f"--n does not apply to {args.experiment}, "
+                              f"which takes its sizes from n_grid")
         if "gen" not in data or data["gen"] is None:
             raise ConfigError("--n override needs a gen spec in the config")
         data["gen"] = dict(data["gen"], n=args.n)

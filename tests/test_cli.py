@@ -1,8 +1,6 @@
 import json
 import math
 import re
-import subprocess
-import sys
 import tracemalloc
 from pathlib import Path
 
@@ -10,11 +8,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from friendbias import (GenSpec, bias_all, build_graph, cli, mix_seed,
-                        realize, save_edge_list)
+from friendbias import (GenSpec, bias_all, build_graph, cli, exact_mu,
+                        ks_distance, levy_distance, mix_seed, realize,
+                        save_edge_list, stationary_bias)
 from friendbias.cli import ExperimentConfig, main, parse_schedule, schedule_k
 from friendbias.measures import EmpiricalMeasure
-from friendbias.stationary import MAX_DENSE_BYTES
+from friendbias.stationary import MAX_DENSE_BYTES, MAX_EXACT_STATES
 from friendbias.tree_limits import OffspringLaw
 
 
@@ -261,6 +260,35 @@ def test_bias_invalid_kind_exits_3(tmp_path, capsys):
     assert "degree" in err     # message names the violated precondition
 
 
+def test_config_for_another_experiment_exits_2(tmp_path, capsys):
+    cfg = write_config(tmp_path, "nc.json", experiment="noncommute",
+                       pmf={"1": 0.75, "2": 0.25}, n_samples=100,
+                       out=str(tmp_path / "out"))
+    assert main(["limit-mu", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert "'noncommute', not 'limit-mu'" in err
+    assert not (tmp_path / "out").exists()
+    # a file without the key runs as the subcommand
+    cfg = write_config(tmp_path, "mu.json", pmf={"1": 0.75, "2": 0.25},
+                       n_samples=100, out=str(tmp_path / "out"))
+    assert main(["limit-mu", "--config", cfg]) == 0
+    m = EmpiricalMeasure.load_json(tmp_path / "out" / "mu_measure.json")
+    assert m.meta["config"]["experiment"] == "limit-mu"
+
+
+@pytest.mark.parametrize("experiment", ["joint", "sweep"])
+def test_n_flag_on_a_grid_experiment_exits_2(tmp_path, capsys, experiment):
+    # both take their sizes from n_grid, which --n would not change
+    cfg = write_config(tmp_path, "g.json", experiment=experiment,
+                       gen={"model": "configuration", "n": 100,
+                            "degree_pmf": {"3": 0.5, "4": 0.5}},
+                       kind="nb", k=2, k_max=2, n_grid=[100, 200],
+                       out=str(tmp_path / "out"))
+    assert main([experiment, "--config", cfg, "--n", "5000"]) == 2
+    assert "n_grid" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_bad_config_exits_2(tmp_path, capsys):
     assert main(["bias", "--config", str(tmp_path / "missing.json")]) == 2
     cfg = write_config(tmp_path, "bad.json", experiment="bias", k="sqrt_n(2)")
@@ -268,6 +296,9 @@ def test_bad_config_exits_2(tmp_path, capsys):
     cfg = write_config(tmp_path, "bad2.json", experiment="bias",
                        unknown_key=1)
     assert main(["bias", "--config", cfg]) == 2
+    (tmp_path / "list.json").write_text("[1, 2]")
+    assert main(["bias", "--config", str(tmp_path / "list.json")]) == 2
+    assert "must be a JSON object" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("key", ["size_cap", "n_samples"])
@@ -383,6 +414,22 @@ def test_joint_nb_mix10_honours_starts_cap(tmp_path):
     row = (tmp_path / "out" / "joint.csv").read_text().splitlines()[2]
     n, k_n = row.split(",")[:2]
     assert n == "1500" and int(k_n) % 10 == 0 and int(k_n) > 0
+
+
+def test_nb_mixing_over_the_exact_state_limit_needs_starts_cap(tmp_path,
+                                                              capsys):
+    # CM {3: .5, 4: .5} at n = 1500 has over 5000 half-edge states, more
+    # start states than an exact (uncapped) profile may take
+    cfg = write_config(tmp_path, "m.json", experiment="mixing",
+                       gen={"model": "configuration", "n": 1500,
+                            "degree_pmf": {"3": 0.5, "4": 0.5}},
+                       kind="nb", k_max=3, seed=99, out=str(tmp_path / "out"))
+    assert main(["mixing", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    states = int(re.search(r"(\d+) start states exceeds the exact limit "
+                           rf"{MAX_EXACT_STATES}; pass starts_cap", err)[1])
+    assert states > MAX_EXACT_STATES
+    assert not (tmp_path / "out").exists()
 
 
 def test_mix10_without_crossing_exits_3(tmp_path, capsys):
@@ -521,6 +568,36 @@ def test_limit_mu_outputs(tmp_path):
     assert main(["limit-mu-star", "--config", cfg]) == 0
     m = EmpiricalMeasure.load_json(tmp_path / "out2" / "mu_star_measure.json")
     assert m.meta["rejections"] == 0
+
+
+def _summary(out: Path) -> tuple[str, float]:
+    _, header, row = (out / "summary.csv").read_text().splitlines()
+    return header.split(",")[-1], float(row.split(",")[-1])
+
+
+def test_summary_reports_the_configured_distance(tmp_path):
+    gen = {"model": "configuration", "n": 200,
+           "degree_pmf": {"3": 0.5, "4": 0.5}}
+    cfg = write_config(tmp_path, "b.json", experiment="bias", gen=gen,
+                       kind="nb", k=2, seed=3, distance="ks",
+                       out=str(tmp_path / "b"))
+    assert main(["bias", "--config", cfg]) == 0
+    m = EmpiricalMeasure.load_json(tmp_path / "b" / "bias_measure.json")
+    g = realize(GenSpec.from_dict(gen), seed_override=mix_seed(3, 0))
+    limit = stationary_bias(g)
+    column, value = _summary(tmp_path / "b")
+    assert column == "ks_to_limit"
+    assert value == ks_distance(m, limit) != levy_distance(m, limit)
+
+    cfg = write_config(tmp_path, "mu.json", experiment="limit-mu",
+                       pmf={"3": 0.5, "4": 0.5}, n_samples=500, seed=3,
+                       distance="ks", out=str(tmp_path / "mu"))
+    assert main(["limit-mu", "--config", cfg]) == 0
+    m = EmpiricalMeasure.load_json(tmp_path / "mu" / "mu_measure.json")
+    exact = exact_mu(OffspringLaw.from_dict({3: 0.5, 4: 0.5}))
+    column, value = _summary(tmp_path / "mu")
+    assert column == "ks_to_limit"
+    assert value == ks_distance(m, exact) != levy_distance(m, exact)
 
 
 def test_sweep_outputs(tmp_path):
@@ -692,18 +769,3 @@ def test_write_json_streams_the_atoms(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2 ** 20
-
-
-def test_mixing_curves_caps_nb_starts_when_2m_can_exceed_the_exact_limit(
-        tmp_path):
-    # CM {3: .5, 4: .5} at n = 1500 has about 5200 nb states, over 4096
-    script = (Path(__file__).resolve().parents[1] / "scripts"
-              / "mixing_curves.py")
-    proc = subprocess.run([sys.executable, str(script), "--n", "1500",
-                           "--k-max", "3", "--out", str(tmp_path)],
-                          capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stdout + proc.stderr
-    for kind in ("bt", "lazy", "nb"):
-        assert (tmp_path / kind / "mixing.csv").is_file()
-        meta = json.loads((tmp_path / kind / "mixing_meta.json").read_text())
-        assert meta["config"]["starts_cap"] == (64 if kind == "nb" else None)
