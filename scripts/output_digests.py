@@ -3,15 +3,16 @@
 
 Covers every experiment; the bt, nb and lazy explorations; nb `mixing` and
 `stationary` on unerased configuration-model multigraphs with self-loops;
-component-scope `stationary` on a multigraph of many components; `mixing`, `bias` and `mix10` `joint` on a degree law with degrees above 8,
-whose per-vertex sums take np.add.reduceat's pairwise order; Erdos-Renyi
-with `restrict_giant`; `erase`; `graph_file` input; and `mu_star` on
-laws with 0 or 3 in the support, with rejections under a small `size_cap`,
-over a stream several sampling blocks long, and through the
-too-many-rejections guard (exit 4). Each run writes into a
-relative `--out` directory under WORKDIR, so the config headers in the
-outputs do not depend on where the script runs. A run's exit code and
-console output go to `<run>/console.txt`.
+component-scope `stationary` on a multigraph of many components; `mixing`,
+`bias` and `mix10` `joint` on a degree law with degrees above 8, whose
+per-vertex sums take np.add.reduceat's pairwise order; Erdos-Renyi with
+`restrict_giant`, also at sizes that reach its rejection sampler of pair
+codes; `erase`; `graph_file` input; and `mu_star` on laws with 0 or 3 in the
+support, with rejections under a small `size_cap`, over a stream several
+sampling blocks long, and through the too-many-rejections guard (exit 4).
+Each run writes into a relative `--out` directory under WORKDIR, so the
+config headers in the outputs do not depend on where the script runs. A
+run's exit code and console output go to `<run>/console.txt`.
 
 Prints `sha256  path` for every file under the run directories, then one
 overall digest of that listing. Two checkouts that print the same overall
@@ -126,6 +127,11 @@ def runs() -> list[tuple[str, dict]]:
         # isolated vertices: the stationary law is refused (exit 3)
         ("er-full-stationary", {"experiment": "stationary", "gen": _er(300, 1.5),
                                 "seed": 5}),
+        # n > 2000 has over 2*10^6 pairs: the rejection sampler of pair codes
+        ("er-rejection-sweep-lazy", {"experiment": "sweep", "gen": _er(2002, 3.0),
+                                     "kind": "lazy", "restrict_giant": True,
+                                     "n_grid": [2002, 3000], "k_max": 4,
+                                     "seed": 7}),
     ]
     cm_file = "generate-cm-multi/graph.edges"
     er_file = "generate-er-giant/graph.edges"

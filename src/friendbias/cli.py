@@ -616,6 +616,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# flags an experiment never reads: given, they exit 2 instead of being
+# written into its outputs as if they had been used. Config keys are not
+# checked, as one config file may serve several experiments.
+_UNREAD_FLAGS = {
+    **dict.fromkeys(("joint", "sweep"),
+                    (("n",), "which takes its sizes from n_grid")),
+    **dict.fromkeys(("limit-mu", "limit-mu-star", "noncommute"),
+                    (("n", "k", "kind", "delta", "replicas", "restrict_giant"),
+                     "which samples trees from its pmf and builds no graph")),
+}
+
+
 def _load_config(args) -> ExperimentConfig:
     data: dict = {}
     if args.config is not None:
@@ -630,15 +642,17 @@ def _load_config(args) -> ExperimentConfig:
     if named != args.experiment:
         raise ConfigError(f"config {args.config} is for experiment {named!r}, "
                           f"not {args.experiment!r}")
+    unread, why = _UNREAD_FLAGS.get(args.experiment, ((), ""))
+    for flag in unread:
+        if getattr(args, flag) is not None:
+            raise ConfigError(f"--{flag.replace('_', '-')} does not apply to "
+                              f"{args.experiment}, {why}")
     for flag in ("k", "kind", "delta", "seed", "replicas", "out",
                  "restrict_giant"):
         value = getattr(args, flag)
         if value is not None:
             data[flag] = value
     if args.n is not None:
-        if args.experiment in ("joint", "sweep"):
-            raise ConfigError(f"--n does not apply to {args.experiment}, "
-                              f"which takes its sizes from n_grid")
         if "gen" not in data or data["gen"] is None:
             raise ConfigError("--n override needs a gen spec in the config")
         data["gen"] = dict(data["gen"], n=args.n)

@@ -136,10 +136,59 @@ def gen_metadata(spec: GenSpec) -> dict:
             "spec": spec.to_dict()}
 
 
+def _contains(sorted_codes: np.ndarray, codes: np.ndarray) -> np.ndarray:
+    if sorted_codes.size == 0:
+        return np.zeros(codes.size, dtype=bool)
+    at = np.searchsorted(sorted_codes, codes)
+    return sorted_codes.take(at, mode="clip") == codes
+
+
+def _merge(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The sorted union of two sorted arrays with no code in common."""
+    if a.size < b.size:
+        a, b = b, a
+    return np.insert(a, np.searchsorted(a, b), b)
+
+
+def _distinct_codes(rng: np.random.Generator, n_pairs: int,
+                    m: int) -> np.ndarray:
+    """The first m distinct codes of a stream of uniform draws from
+    [0, n_pairs), sorted.
+
+    The stream is drawn in batches of max(m - accepted, 1024) codes. A batch
+    accepts the first draw of each code not accepted before, in draw order,
+    and stops at the m-th acceptance. Earlier acceptances are held in two
+    sorted arrays, `recent` being merged into `old` once it holds a
+    sixteenth as many codes, so a batch costs about its own size even when
+    most of its draws repeat earlier codes.
+    """
+    old = recent = np.empty(0, dtype=np.int64)
+    while (need := m - old.size - recent.size) > 0:
+        batch = rng.integers(0, n_pairs, size=max(need, 1024))
+        new = sorted_unique(batch)
+        new = new[~(_contains(old, new) | _contains(recent, new))]
+        if new.size > need:
+            # only a batch of 1024 draws can hold more new codes than are
+            # needed: keep those drawn first
+            codes, first = np.unique(batch, return_index=True)
+            first = np.sort(first[np.searchsorted(codes, new)])
+            new = np.sort(batch[first[:need]])
+        recent = _merge(recent, new)
+        if 16 * recent.size > old.size:
+            old, recent = _merge(old, recent), recent[:0]
+    return _merge(old, recent)
+
+
 def gen_erdos_renyi(n: int, lam: float, seed: int) -> Graph:
     """Simple graph: each of the n(n-1)/2 pairs kept independently with
     probability lam/n. Deterministic given the seed; never contains
-    self-loops or parallel edges."""
+    self-loops or parallel edges.
+
+    Pair (i, j), i < j, has the triangular code i(2n - i - 1)/2 + j - i - 1.
+    Up to 2*10^6 pairs, a pair is kept when its uniform draw falls below
+    lam/n. Above that, the edge count m is drawn from Binomial(n_pairs,
+    lam/n) and the codes are the first m distinct ones of a uniform stream
+    (`_distinct_codes`)."""
     if n < 2:
         raise ValueError(f"erdos_renyi needs n >= 2, got {n}")
     if not (0 < lam < n):
@@ -150,19 +199,7 @@ def gen_erdos_renyi(n: int, lam: float, seed: int) -> Graph:
     if n_pairs <= 2_000_000:
         codes = np.flatnonzero(rng.random(n_pairs) < p)
     else:
-        m = int(rng.binomial(n_pairs, p))
-        # rejection sampling of distinct pair codes; uniform and deterministic
-        chosen: set[int] = set()
-        picks: list[int] = []
-        while len(picks) < m:
-            batch = rng.integers(0, n_pairs, size=max(m - len(picks), 1024))
-            for c in batch.tolist():
-                if c not in chosen:
-                    chosen.add(c)
-                    picks.append(c)
-                    if len(picks) == m:
-                        break
-        codes = np.sort(np.array(picks, dtype=np.int64))
+        codes = _distinct_codes(rng, n_pairs, int(rng.binomial(n_pairs, p)))
     # decode triangular codes: row i holds pairs (i, i+1..n-1)
     row_starts = np.concatenate(
         [[0], np.cumsum(n - 1 - np.arange(n, dtype=np.int64))])

@@ -29,6 +29,11 @@ class NonFiniteMeasureError(ValueError):
     """A measure was given a NaN or infinite value or weight."""
 
 
+def _cumulative(weights: np.ndarray) -> np.ndarray:
+    """[0, w0, w0 + w1, ...]: entry i is the mass of the first i atoms."""
+    return np.concatenate(([0.0], np.cumsum(weights)))
+
+
 def _require_finite(name: str, arr: np.ndarray) -> None:
     finite = np.isfinite(arr)
     if not finite.all():
@@ -78,9 +83,11 @@ class EmpiricalMeasure:
             raise ValueError("empty measure")
         _require_finite("values", v)
         if weights is None:
-            # equal weights need no permutation; a stable sort orders the
-            # values, -0.0 and 0.0 included, as the argsort below would
-            v = np.sort(v, kind="stable")
+            # equal weights need no permutation, and only a -0.0 tied with
+            # 0.0 tells two sorts of equal finite floats apart; then a
+            # stable sort keeps their input order, as the argsort below would
+            ties = (np.signbit(v) & (v == 0)).any()
+            v = np.sort(v, kind="stable" if ties else None)
             w = np.full(v.size, 1.0 / v.size)
         else:
             w = np.asarray(weights, dtype=np.float64).ravel()
@@ -114,9 +121,8 @@ class EmpiricalMeasure:
 
     def cdf(self, xs) -> np.ndarray:
         """Right-continuous CDF evaluated at the points `xs`."""
-        cum = np.concatenate(([0.0], np.cumsum(self.weights)))
-        return cum[np.searchsorted(self.values, np.asarray(xs, dtype=np.float64),
-                                   side="right")]
+        return _cumulative(self.weights)[np.searchsorted(
+            self.values, np.asarray(xs, dtype=np.float64), side="right")]
 
     def mass_at_least(self, x: float) -> float:
         """Mass of [x, inf); `mass_at_least(0.0)` is the nonnegative fraction."""
@@ -173,8 +179,7 @@ def levy_distance(a: EmpiricalMeasure, b: EmpiricalMeasure) -> float:
     """
     # everything that does not depend on eps is computed once per call; as
     # the atoms are distinct, a measure's CDF at its atoms is cum[1:]
-    cum_a = np.concatenate(([0.0], np.cumsum(a.weights)))
-    cum_b = np.concatenate(([0.0], np.cumsum(b.weights)))
+    cum_a, cum_b = _cumulative(a.weights), _cumulative(b.weights)
     # per side: its active atoms, its CDF there, and the other measure
     sides = [[a.values, cum_a[1:], b.values, cum_b],
              [b.values, cum_b[1:], a.values, cum_a]]
@@ -209,15 +214,26 @@ def _cdf_gap(a: EmpiricalMeasure, b: EmpiricalMeasure):
     """The union grid of both measures' atoms and |F_a - F_b| on it.
 
     The grid is np.union1d(a.values, b.values) up to the sign of zero,
-    merged from the two sorted arrays instead of sorted again.
+    merged from the two sorted arrays by inserting the shorter into the
+    longer. The merge knows where each atom of the longer measure lands, so
+    only the shorter measure's CDF (a limit law's, with few atoms) is
+    searched on the grid. |x - y| and |y - x| have the same bits, so a and b
+    may swap roles.
     """
+    if a.values.size < b.values.size:
+        a, b = b, a
     u, v = a.values, b.values
-    if u.size < v.size:
-        u, v = v, u   # inserting the shorter array into the longer is cheaper
     pos = np.searchsorted(u, v)
     new = u[np.minimum(pos, u.size - 1)] != v
-    grid = np.insert(u, pos[new], v[new])
-    return grid, np.abs(a.cdf(grid) - b.cdf(grid))
+    at = pos[new]
+    grid = np.insert(u, at, v[new])
+    # F_a on the grid: the cumulative weights, with the mass below each
+    # inserted atom spliced in (0 below the first atom); then |F_a - F_b|
+    # in place, so that few arrays the size of the grid are alive at once
+    gap = np.cumsum(a.weights)
+    gap = np.insert(gap, at, np.where(at > 0, gap[at - 1], 0.0))
+    gap -= _cumulative(b.weights)[np.searchsorted(v, grid, side="right")]
+    return grid, np.abs(gap, out=gap)
 
 
 def ks_distance(a: EmpiricalMeasure, b: EmpiricalMeasure) -> float:

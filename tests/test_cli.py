@@ -289,6 +289,32 @@ def test_n_flag_on_a_grid_experiment_exits_2(tmp_path, capsys, experiment):
     assert not (tmp_path / "out").exists()
 
 
+LAW_RUNS = {"limit-mu": {"pmf": {"3": 0.5, "4": 0.5}},
+            "limit-mu-star": {"pmf": {"1": 0.75, "2": 0.25}},
+            "noncommute": {"pmf": {"1": 0.75, "2": 0.25}}}
+
+
+@pytest.mark.parametrize("flag, key", [
+    (["--kind", "lazy"], {"kind": "lazy"}), (["--k", "5"], {"k": 5}),
+    (["--delta", "0.3"], {"delta": 0.3}), (["--replicas", "7"], {"replicas": 7}),
+    (["--restrict-giant"], {"restrict_giant": True}),
+    (["--n", "500"], {"gen": {"model": "erdos_renyi", "n": 500, "lam": 2.0}})])
+def test_graph_flag_on_a_limit_law_experiment_exits_2(tmp_path, capsys,
+                                                      flag, key):
+    # these experiments sample trees and read none of these flags, which
+    # would otherwise reach summary.csv and the config lines as if used
+    for experiment, extra in LAW_RUNS.items():
+        out = tmp_path / experiment
+        cfg = write_config(tmp_path, f"{experiment}.json", n_samples=200,
+                           out=str(out), **extra, **key)
+        assert main([experiment, "--config", cfg, *flag]) == 2
+        err = capsys.readouterr().err
+        assert f"{flag[0]} does not apply to {experiment}" in err
+        assert not out.exists()
+        # configs share keys across runs, so the config key stays accepted
+        assert main([experiment, "--config", cfg]) == 0
+
+
 def test_bad_config_exits_2(tmp_path, capsys):
     assert main(["bias", "--config", str(tmp_path / "missing.json")]) == 2
     cfg = write_config(tmp_path, "bad.json", experiment="bias", k="sqrt_n(2)")

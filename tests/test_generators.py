@@ -6,6 +6,8 @@ import pytest
 from friendbias import (GenSpec, OffspringLaw, erase_to_simple,
                         gen_configuration_model, gen_erdos_renyi, generate,
                         mix_seed, sample_degree_sequence)
+from friendbias.generators import _distinct_codes
+from er_loop import distinct_codes_loop, gen_erdos_renyi_loop
 
 
 def test_er_deterministic():
@@ -22,6 +24,29 @@ def test_er_simple():
         assert not np.any(g.tails == g.heads)
         pairs = [tuple(sorted(e)) for e in g.edges.tolist()]
         assert len(pairs) == len(set(pairs))
+
+
+# n > 2000 has over 2*10^6 pairs, where the edges come from the rejection
+# sampler; lam = 1000 runs many batches and cuts the last at m
+@pytest.mark.parametrize("n, lam, seed", [
+    (2001, 3.0, 0), (2002, 3.0, 1), (2500, 10.0, 2), (3000, 50.0, 3),
+    (4000, 4.0, 4), (5000, 20.0, 5), (5000, 3.0, 6), (2001, 1000.0, 7)])
+def test_er_rejection_path_matches_the_loop(n, lam, seed):
+    want = gen_erdos_renyi_loop(n, lam, seed)
+    assert np.array_equal(gen_erdos_renyi(n, lam, seed).edges, want.edges)
+
+
+@pytest.mark.parametrize("n_pairs, m", [(3000, 2900), (5000, 4000),
+                                        (4000, 1500), (10 ** 6, 1030)])
+def test_distinct_codes_keep_the_first_draws(n_pairs, m):
+    # few codes: batches of 1024 draws repeat codes, and the last one holds
+    # more new codes than it needs, so the cut must follow the first draws
+    for seed in range(5):
+        got = _distinct_codes(np.random.Generator(np.random.PCG64(seed)),
+                              n_pairs, m)
+        want = distinct_codes_loop(np.random.Generator(np.random.PCG64(seed)),
+                                   n_pairs, m)
+        assert np.array_equal(got, want)
 
 
 def test_er_mean_degree_concentrates():

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from friendbias.measures import (MERGE_TOL, EmpiricalMeasure,
                                  NonFiniteMeasureError, ks_distance,
                                  levy_distance, w1_distance)
+from cdf_gap_reference import ks_distance_searched, w1_distance_searched
 from levy_reference import levy_distance_full
 
 
@@ -210,6 +211,63 @@ def test_from_values_unweighted_sorts_like_argsort():
     assert m.values.tobytes() == weighted.values.tobytes()
     assert m.weights.tobytes() == weighted.weights.tobytes()
     assert np.signbit(m.values).tolist() == [True, False, False]
+
+
+def from_values_stable(vals):
+    """from_values with equal weights, always sorting stably."""
+    v = np.sort(np.asarray(vals, dtype=np.float64), kind="stable")
+    starts = np.flatnonzero(np.concatenate(([True], np.diff(v) > MERGE_TOL)))
+    return v[starts], np.add.reduceat(np.full(v.size, 1.0 / v.size), starts)
+
+
+# signed zeros, neighbours 1e-12 apart (merged or not), and a few others
+NEAR_ZERO = [0.0, -0.0, 1e-12, -1e-12, 2e-12, -2e-12, 0.5e-12, 1.0,
+             1.0 + 1e-12, 1.0 - 1e-12, -3.0]
+
+
+@given(st.lists(st.sampled_from(NEAR_ZERO) | st.floats(-5, 5),
+                min_size=1, max_size=64))
+@settings(max_examples=200, deadline=None)
+def test_from_values_unweighted_matches_a_stable_sort(vals):
+    m = EmpiricalMeasure.from_values(vals)
+    want_values, want_weights = from_values_stable(vals)
+    assert m.values.view(np.int64).tolist() == want_values.view(np.int64).tolist()
+    assert (m.weights.view(np.int64).tolist()
+            == want_weights.view(np.int64).tolist())
+
+
+@pytest.mark.parametrize("vals", [[0.0, -0.0], [0.0] + [-0.0] * 8])
+def test_from_values_keeps_the_first_signed_zero(vals):
+    # numpy's default sort may put a later -0.0 before the first 0.0
+    m = EmpiricalMeasure.from_values(vals)
+    assert m.values.tolist() == [0.0]
+    assert not np.signbit(m.values[0])
+
+
+def gap_pair(data, family):
+    if family == "one_atom":
+        a = measure([data.draw(st.sampled_from(GRID) | st.floats(-10, 10))])
+        return a, data.draw(grid_measures())
+    if family == "shared":
+        # the second measure's atoms are some of the first's
+        a = data.draw(grid_measures())
+        keep = data.draw(st.lists(st.sampled_from(a.values.tolist()),
+                                  min_size=1, max_size=a.values.size))
+        return a, measure(keep)
+    return levy_pair(data, family)
+
+
+@pytest.mark.parametrize("family", ["random", "identical", "far_diracs",
+                                    "mixture", "large", "one_atom", "shared"])
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_ks_and_w1_match_the_searched_gap(family, data):
+    # reading the longer measure's CDF off the merge reads the same cumsum
+    # elements as searching, with the longer measure first or second
+    a, b = gap_pair(data, family)
+    for x, y in ((a, b), (b, a)):
+        assert ks_distance(x, y).hex() == ks_distance_searched(x, y).hex()
+        assert w1_distance(x, y).hex() == w1_distance_searched(x, y).hex()
 
 
 @given(atoms, atoms)
