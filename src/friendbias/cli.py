@@ -15,7 +15,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -107,6 +107,18 @@ class ExperimentConfig:
             raise ConfigError(f"unknown scope {self.scope!r}")
         if self.distance not in measures.DISTANCES:
             raise ConfigError(f"unknown distance {self.distance!r}")
+        if self.graph_file is not None:
+            # one config names one graph source, and a file is read as it is
+            if self.gen is not None:
+                raise ConfigError("graph_file and gen both name the graph; "
+                                  "give one")
+            for key in ("erase", "restrict_giant"):
+                if getattr(self, key):
+                    raise ConfigError(f"{key} applies to a gen spec; "
+                                      f"graph_file is read as it is")
+            if self.experiment in ("generate", "sweep", "joint"):
+                raise ConfigError(f"{self.experiment} draws its graphs from "
+                                  f"gen; graph_file does not apply")
         if isinstance(self.k, str):
             parse_schedule(self.k)  # fail fast on malformed schedules
         elif not all(_is_int(level) and level >= 0 for level in
@@ -285,40 +297,42 @@ def _write_summary(out: Path, cfg: ExperimentConfig,
                  m.mass_at_least(0.0), to_limit)])
 
 
-def _genspec(cfg: ExperimentConfig) -> generators.GenSpec:
+def _genspec(cfg: ExperimentConfig, **changes) -> generators.GenSpec:
+    """The config's gen spec, with `changes` to its fields."""
     if cfg.gen is None:
         raise ConfigError("this experiment needs a 'gen' model spec")
     try:
-        return generators.GenSpec.from_dict(cfg.gen)
+        return replace(generators.GenSpec.from_dict(cfg.gen), **changes)
     except ValueError as exc:
         raise ConfigError(f"bad gen spec: {exc}") from exc
 
 
-def _realize(cfg: ExperimentConfig, seed: int, n: int | None = None) -> Graph:
-    return generators.realize(_genspec(cfg), n_override=n, seed_override=seed,
-                              erase=cfg.erase, restrict_giant=cfg.restrict_giant)
+def _graph(cfg: ExperimentConfig, seed: int, n: int | None = None) -> Graph:
+    """The run's one graph source: the gen spec realised on `seed` (at size
+    n when given), or the graph file as it is."""
+    if cfg.graph_file is not None:
+        try:
+            return load_edge_list(cfg.graph_file)
+        except (OSError, UnicodeDecodeError, GraphConstructionError) as exc:
+            raise ConfigError(f"cannot read graph file {cfg.graph_file}: "
+                              f"{exc}") from exc
+    sizes = {} if n is None else {"n": n}
+    return generators.realize(_genspec(cfg, seed=seed, **sizes),
+                              erase=cfg.erase,
+                              restrict_giant=cfg.restrict_giant)
 
 
 def _replica_graphs(cfg: ExperimentConfig, seed: int, n: int | None = None):
-    """Yield replica r = 0..replicas-1 of the generated family, realised on
-    mix_seed(seed, r) and checked for cfg.kind."""
+    """Yield replica r = 0..replicas-1 of the run's graph, checked for
+    cfg.kind: a generated family realised on mix_seed(seed, r), or the graph
+    file as its one replica."""
+    if cfg.graph_file is not None and cfg.replicas > 1:
+        raise ConfigError("replicas > 1 requires a generated family, not a "
+                          "graph file")
     for r in range(cfg.replicas):
-        g = _realize(cfg, generators.mix_seed(seed, r), n)
-        _check_kind(cfg, g, f"replica {r}: ")
+        g = _graph(cfg, generators.mix_seed(seed, r), n)
+        _check_kind(cfg, g, "" if cfg.graph_file else f"replica {r}: ")
         yield g
-
-
-def _read_graph_file(path: str) -> Graph:
-    try:
-        return load_edge_list(path)
-    except (OSError, UnicodeDecodeError, GraphConstructionError) as exc:
-        raise ConfigError(f"cannot read graph file {path}: {exc}") from exc
-
-
-def _resolve_graph(cfg: ExperimentConfig) -> Graph:
-    if cfg.graph_file is not None:
-        return _read_graph_file(cfg.graph_file)
-    return _realize(cfg, generators.mix_seed(cfg.seed, 0))
 
 
 def _check_kind(cfg: ExperimentConfig, g: Graph, where: str = "") -> None:
@@ -336,11 +350,14 @@ def _fixed_k(cfg: ExperimentConfig) -> int:
 
 
 def run_generate(cfg: ExperimentConfig) -> int:
-    g = _resolve_graph(cfg)
+    seed = generators.mix_seed(cfg.seed, 0)
+    g = _graph(cfg, seed)
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     save_edge_list(g, out / "graph.edges")
-    meta = generators.gen_metadata(_genspec(cfg))
+    # the spec realised: realize() of it, with the config's post-passes,
+    # redraws graph.edges
+    meta = generators.gen_metadata(_genspec(cfg, seed=seed))
     meta["config"] = cfg.to_dict()
     meta["n"] = g.n
     meta["num_edges"] = g.num_edges
@@ -350,16 +367,9 @@ def run_generate(cfg: ExperimentConfig) -> int:
 
 def run_bias(cfg: ExperimentConfig) -> int:
     k = _fixed_k(cfg)
-    if cfg.graph_file is None:
-        graphs = _replica_graphs(cfg, cfg.seed)
-    elif cfg.replicas == 1:
-        graphs = [_read_graph_file(cfg.graph_file)]
-        _check_kind(cfg, graphs[0])
-    else:
-        raise ConfigError("replicas > 1 requires a generated family, not a graph file")
     mus = []
     to_limit = None
-    for r, g in enumerate(graphs):
+    for r, g in enumerate(_replica_graphs(cfg, cfg.seed)):
         mus.append(kernels.bias_all(g, k, cfg.kind, delta=cfg.delta,
                                     meta={"replica": r, "seed": cfg.seed}))
         if r == 0:
@@ -389,7 +399,7 @@ def run_bias(cfg: ExperimentConfig) -> int:
 
 
 def run_stationary(cfg: ExperimentConfig) -> int:
-    g = _resolve_graph(cfg)
+    g = _graph(cfg, generators.mix_seed(cfg.seed, 0))
     mu_inf = stationary.stationary_bias(g, scope=cfg.scope)
     out = Path(cfg.out)
     _write_measure(out / "stationary_measure.json", mu_inf, cfg)
@@ -412,7 +422,7 @@ def run_stationary(cfg: ExperimentConfig) -> int:
 
 
 def run_mixing(cfg: ExperimentConfig) -> int:
-    g = _resolve_graph(cfg)
+    g = _graph(cfg, generators.mix_seed(cfg.seed, 0))
     _check_kind(cfg, g)
     profile = stationary.mixing_profile(g, cfg.kind, cfg.k_max,
                                         eps_list=cfg.eps_list, delta=cfg.delta,
@@ -476,7 +486,7 @@ def run_sweep(cfg: ExperimentConfig) -> int:
     rows = []
     worst = 0.0
     for idx, n in enumerate(cfg.n_grid):
-        g = _realize(cfg, generators.mix_seed(cfg.seed, idx), n)
+        g = _graph(cfg, generators.mix_seed(cfg.seed, idx), n)
         _check_kind(cfg, g)
         limit = stationary.stationary_bias(g, scope=cfg.scope)
         for k, deltas in kernels.bias_profile(g, cfg.k_max, cfg.kind,
@@ -566,7 +576,7 @@ def run_oracle_check(cfg: ExperimentConfig) -> int:
                 continue
             for k in range(0, 6):
                 for i in range(g.n):
-                    got = kernels._k_step_dist(g, i, k, kind, cfg.delta).weights
+                    got = kernels._k_step_dist(g, i, k, kind).weights
                     want = oracle.oracle_k_step(g, i, k, kind).weights
                     worst = max(worst, float(np.abs(got - want).max()))
                     checks += 1
@@ -616,15 +626,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# flags an experiment never reads: given, they exit 2 instead of being
-# written into its outputs as if they had been used. Config keys are not
-# checked, as one config file may serve several experiments.
-_UNREAD_FLAGS = {
-    **dict.fromkeys(("joint", "sweep"),
-                    (("n",), "which takes its sizes from n_grid")),
-    **dict.fromkeys(("limit-mu", "limit-mu-star", "noncommute"),
-                    (("n", "k", "kind", "delta", "replicas", "restrict_giant"),
-                     "which samples trees from its pmf and builds no graph")),
+_ONE_GRAPH = ("n", "seed", "out", "restrict_giant")
+_GRID = ("kind", "delta", "seed", "out", "restrict_giant")
+_TREES = (("seed", "out"),
+          "which samples trees from its pmf and builds no graph")
+# the flags each experiment reads, and why it reads no other: any other flag
+# exits 2 instead of being written into its outputs as if it had been used.
+# Config keys are not checked, as one config file may serve several
+# experiments.
+FLAGS = {
+    "generate": (_ONE_GRAPH, "which draws one graph and explores none"),
+    "stationary": (_ONE_GRAPH + ("delta",),
+                   "which takes the level to infinity on one graph"),
+    "mixing": (_ONE_GRAPH + ("delta", "kind"),
+               "which runs levels up to k_max on one graph"),
+    "bias": (_ONE_GRAPH + ("delta", "kind", "k", "replicas"), ""),
+    "sweep": (_GRID, "which takes its sizes from n_grid and runs levels up "
+                     "to k_max on one graph each"),
+    "joint": (_GRID + ("k", "replicas"),
+              "which takes its sizes from n_grid"),
+    "limit-mu": _TREES, "limit-mu-star": _TREES, "noncommute": _TREES,
+    "oracle-check": ((), "which checks a fixed corpus of small graphs"),
 }
 
 
@@ -642,20 +664,19 @@ def _load_config(args) -> ExperimentConfig:
     if named != args.experiment:
         raise ConfigError(f"config {args.config} is for experiment {named!r}, "
                           f"not {args.experiment!r}")
-    unread, why = _UNREAD_FLAGS.get(args.experiment, ((), ""))
-    for flag in unread:
-        if getattr(args, flag) is not None:
+    reads, why = FLAGS[args.experiment]
+    for flag, value in vars(args).items():
+        if value is None or flag in ("experiment", "config"):
+            continue
+        if flag not in reads:
             raise ConfigError(f"--{flag.replace('_', '-')} does not apply to "
                               f"{args.experiment}, {why}")
-    for flag in ("k", "kind", "delta", "seed", "replicas", "out",
-                 "restrict_giant"):
-        value = getattr(args, flag)
-        if value is not None:
+        if flag != "n":
             data[flag] = value
-    if args.n is not None:
-        if "gen" not in data or data["gen"] is None:
+        elif data.get("gen") is None:
             raise ConfigError("--n override needs a gen spec in the config")
-        data["gen"] = dict(data["gen"], n=args.n)
+        else:
+            data["gen"] = dict(data["gen"], n=value)
     return ExperimentConfig.from_dict(data)
 
 

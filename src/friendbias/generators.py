@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -261,18 +261,11 @@ def generate(spec: GenSpec) -> Graph:
     return gen_configuration_model(seq, mix_seed(spec.seed, 1))
 
 
-def realize(spec: GenSpec, n_override: int | None = None,
-            seed_override: int | None = None, erase: bool = False,
+def realize(spec: GenSpec, erase: bool = False,
             restrict_giant: bool = False) -> Graph:
-    """Generate with optional n/seed overrides and post-passes (erasure to a
-    simple graph, restriction to the largest component)."""
-    if (n_override is not None and spec.degree_seq is not None
-            and int(n_override) != len(spec.degree_seq)):
-        raise ValueError("cannot override n for an explicit degree sequence; "
-                         "use a degree_pmf for size grids")
-    s = replace(spec, n=spec.n if n_override is None else int(n_override),
-                seed=spec.seed if seed_override is None else int(seed_override))
-    g = generate(s)
+    """Generate, then the optional post-passes: erasure to a simple graph
+    and restriction to the largest component."""
+    g = generate(spec)
     if erase:
         g, _ = erase_to_simple(g)
     if restrict_giant:

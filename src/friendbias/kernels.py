@@ -228,7 +228,7 @@ class WalkOperator:
 
 
 def _k_step_dist(g: Graph, start: int, k: int, kind: str,
-                 delta: float) -> DistVector:
+                 delta: float = 0.5) -> DistVector:
     """Vertex law after k steps from `start`; k = 0 is the point mass."""
     if k < 0:
         raise ValueError("k must be >= 0")

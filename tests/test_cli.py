@@ -2,6 +2,7 @@ import json
 import math
 import re
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -109,7 +110,7 @@ def test_bias_single_replica_equals_quenched(tmp_path):
     assert main(["bias", "--config", cfg]) == 0
     m = EmpiricalMeasure.load_json(tmp_path / "out" / "bias_measure.json")
     spec = GenSpec(model="configuration", n=40, degree_pmf={3: 0.5, 4: 0.5})
-    direct = bias_all(realize(spec, seed_override=mix_seed(12, 0)), 2, "nb")
+    direct = bias_all(realize(replace(spec, seed=mix_seed(12, 0))), 2, "nb")
     assert np.array_equal(m.values, direct.values)
     assert np.array_equal(m.weights, direct.weights)
 
@@ -128,7 +129,7 @@ def test_bias_er_level1_matches_closed_form(tmp_path):
     spec = GenSpec(model="erdos_renyi", n=500, lam=4.0)
     oracle_means = []
     for r in range(replicas):
-        g = realize(spec, seed_override=mix_seed(2024, r), restrict_giant=True)
+        g = realize(replace(spec, seed=mix_seed(2024, r)), restrict_giant=True)
         d = g.degrees_float
         s = sum(d[u] / d[v] + d[v] / d[u] - 2.0 for u, v in g.edges.tolist())
         oracle_means.append(s / g.n)
@@ -313,6 +314,123 @@ def test_graph_flag_on_a_limit_law_experiment_exits_2(tmp_path, capsys,
         assert not out.exists()
         # configs share keys across runs, so the config key stays accepted
         assert main([experiment, "--config", cfg]) == 0
+
+
+# flags each experiment does not read, which would otherwise reach its
+# outputs as if they had been used
+UNREAD_FLAG_RUNS = {
+    "generate": (["--k", "5"], {"gen": {"model": "configuration", "n": 40,
+                                        "degree_pmf": {"3": 0.5, "4": 0.5}}}),
+    "stationary": (["--k", "5", "--replicas", "7", "--kind", "nb"],
+                   {"gen": {"model": "configuration", "n": 40,
+                            "degree_pmf": {"3": 1.0}}}),
+    "mixing": (["--replicas", "7"], {"gen": {"model": "configuration", "n": 40,
+                                             "degree_pmf": {"3": 1.0}},
+                                     "kind": "nb", "k_max": 3}),
+    "sweep": (["--k", "5"], {"gen": {"model": "configuration", "n": 24,
+                                     "degree_pmf": {"3": 1.0}},
+                             "kind": "nb", "n_grid": [24], "k_max": 2}),
+    "oracle-check": (["--seed", "9", "--out", "zz"], {}),
+}
+
+
+@pytest.mark.parametrize("experiment", sorted(UNREAD_FLAG_RUNS))
+def test_unread_flag_exits_2(tmp_path, capsys, monkeypatch, experiment):
+    monkeypatch.chdir(tmp_path)
+    flags, extra = UNREAD_FLAG_RUNS[experiment]
+    cfg = write_config(tmp_path, "cfg.json", out="out", **extra)
+    assert main([experiment, "--config", cfg, *flags]) == 2
+    assert (f"config error: {flags[0]} does not apply to {experiment}, "
+            in capsys.readouterr().err)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+    # without the flags the same config runs
+    assert main([experiment, "--config", cfg]) == 0
+
+
+def test_readme_flag_list_is_the_cli_table():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    rows = re.search(r"\| Experiment \| Flags it reads \|\n\|[-|]+\|\n"
+                     r"((?:\|.*\|\n)+)", text)[1]
+    listed = {}
+    for row in rows.splitlines():
+        name, flags = (cell.strip() for cell in row.strip("|").split("|"))
+        listed[name.strip("`")] = sorted(re.findall(r"`--([a-z-]+)`", flags))
+    assert listed == {
+        name: sorted(flag.replace("_", "-") for flag in reads)
+        for name, (reads, _) in cli.FLAGS.items()}
+    assert sorted(listed) == sorted(cli.EXPERIMENTS)
+
+
+def _star_file(tmp_path) -> str:
+    save_edge_list(build_graph(4, [(0, 1), (0, 2), (0, 3)]),
+                   tmp_path / "star.edges")
+    return str(tmp_path / "star.edges")
+
+
+CM40 = {"model": "configuration", "n": 40, "degree_pmf": {"3": 0.5, "4": 0.5}}
+
+
+@pytest.mark.parametrize("experiment, extra, flags, key", [
+    # gen would be written into the outputs beside a graph it did not draw
+    ("bias", {"gen": CM40, "kind": "bt", "k": 1}, [], "gen"),
+    ("stationary", {"gen": CM40}, [], "gen"),
+    ("mixing", {"gen": CM40, "k_max": 2}, [], "gen"),
+    # a file is used as it is: the post-passes would be written, not run
+    ("stationary", {"restrict_giant": True}, [], "restrict_giant"),
+    ("stationary", {}, ["--restrict-giant"], "restrict_giant"),
+    ("bias", {"erase": True, "kind": "bt", "k": 1}, [], "erase"),
+    ("mixing", {"erase": True, "k_max": 2}, [], "erase"),
+    # these draw from gen, and never read the file
+    ("generate", {}, [], "graph_file"),
+    ("generate", {"gen": CM40}, [], "graph_file"),
+    ("joint", {"gen": CM40, "n_grid": [40], "kind": "bt", "k": 1}, [],
+     "graph_file"),
+    ("joint", {"n_grid": [40], "kind": "bt", "k": 1}, [], "graph_file"),
+    ("sweep", {"gen": CM40, "n_grid": [40], "kind": "bt", "k_max": 2}, [],
+     "graph_file"),
+], ids=["bias-gen", "stationary-gen", "mixing-gen", "stationary-giant-key",
+        "stationary-giant-flag", "bias-erase", "mixing-erase",
+        "generate-file", "generate-file-gen", "joint-file-gen", "joint-file",
+        "sweep-file-gen"])
+def test_graph_file_is_the_one_graph_source(tmp_path, capsys, experiment,
+                                            extra, flags, key):
+    cfg = write_config(tmp_path, "cfg.json", graph_file=_star_file(tmp_path),
+                       out=str(tmp_path / "out"), **extra)
+    assert main([experiment, "--config", cfg, *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and key in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_graph_file_with_several_replicas_exits_2(tmp_path, capsys):
+    cfg = write_config(tmp_path, "cfg.json", graph_file=_star_file(tmp_path),
+                       kind="bt", k=1, replicas=2, out=str(tmp_path / "out"))
+    assert main(["bias", "--config", cfg]) == 2
+    assert "replicas > 1 requires a generated family" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("gen, post", [
+    ({"model": "configuration", "n": 40,
+      "degree_pmf": {"2": 0.3, "3": 0.4, "4": 0.3}}, {}),
+    ({"model": "erdos_renyi", "n": 100, "lam": 3.0},
+     {"restrict_giant": True}),
+    ({"model": "configuration", "n": 60, "degree_pmf": {"3": 0.5, "4": 0.5}},
+     {"erase": True}),
+], ids=["cm", "er-giant", "cm-erased"])
+def test_generate_meta_spec_redraws_the_graph(tmp_path, gen, post):
+    cfg = write_config(tmp_path, "cfg.json", gen=gen, seed=3,
+                       out=str(tmp_path / "out"), **post)
+    assert main(["generate", "--config", cfg]) == 0
+    meta = json.loads((tmp_path / "out" / "graph.meta.json").read_text())
+    spec = GenSpec.from_dict(meta["spec"])
+    assert spec.seed == mix_seed(3, 0)
+    config = meta["config"]
+    save_edge_list(realize(spec, erase=config["erase"],
+                           restrict_giant=config["restrict_giant"]),
+                   tmp_path / "redrawn.edges")
+    assert ((tmp_path / "redrawn.edges").read_bytes()
+            == (tmp_path / "out" / "graph.edges").read_bytes())
 
 
 def test_bad_config_exits_2(tmp_path, capsys):
@@ -609,7 +727,7 @@ def test_summary_reports_the_configured_distance(tmp_path):
                        out=str(tmp_path / "b"))
     assert main(["bias", "--config", cfg]) == 0
     m = EmpiricalMeasure.load_json(tmp_path / "b" / "bias_measure.json")
-    g = realize(GenSpec.from_dict(gen), seed_override=mix_seed(3, 0))
+    g = realize(replace(GenSpec.from_dict(gen), seed=mix_seed(3, 0)))
     limit = stationary_bias(g)
     column, value = _summary(tmp_path / "b")
     assert column == "ks_to_limit"

@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -178,13 +179,13 @@ def test_genspec_validation():
         GenSpec(model="configuration", n=4, degree_seq=[1, 1])
 
 
-def test_realize_rejects_size_override_of_explicit_sequence():
+def test_size_change_of_explicit_sequence_is_refused():
     from friendbias import realize
     spec = GenSpec(model="configuration", n=4, degree_seq=[2, 2, 2, 2], seed=0)
     with pytest.raises(ValueError):
-        realize(spec, n_override=8)
+        replace(spec, n=8)
     spec_pmf = GenSpec(model="configuration", n=4, degree_pmf={2: 1.0}, seed=0)
-    assert realize(spec_pmf, n_override=8).n == 8
+    assert realize(replace(spec_pmf, n=8)).n == 8
 
 
 def test_erase_to_simple():
