@@ -9,7 +9,8 @@ per-vertex sums take np.add.reduceat's pairwise order; Erdos-Renyi with
 `restrict_giant`, also at sizes that reach its rejection sampler of pair
 codes; `erase`; `graph_file` input; and `mu_star` on laws with 0 or 3 in the
 support, with rejections under a small `size_cap`, over a stream several
-sampling blocks long, and through the too-many-rejections guard (exit 4).
+sampling blocks long, and through the too-many-rejections guard (exit 4);
+and two config values the library refuses (exit 2).
 Each run writes into a relative `--out` directory under WORKDIR, so the
 config headers in the outputs do not depend on where the script runs. A
 run's exit code and console output go to `<run>/console.txt`.
@@ -173,6 +174,13 @@ def runs() -> list[tuple[str, dict]]:
         ("limit-mu-star-guard", {"experiment": "limit-mu-star",
                                  "pmf": {"1": 0.75, "2": 0.25},
                                  "n_samples": 50, "seed": 3, "size_cap": 1}),
+        # refused by the library, not by the config checks: a law with no
+        # moment ratio, and more nb start states than an exact profile takes
+        ("limit-mu-zero-mean", {"experiment": "limit-mu", "pmf": {"0": 1.0},
+                                "n_samples": 10}),
+        ("mixing-nb-over-exact-limit", {"experiment": "mixing",
+                                        "gen": _cm(1500), "kind": "nb",
+                                        "k_max": 3, "seed": 99}),
         ("oracle-check", {"experiment": "oracle-check"}),
     ]
     return out

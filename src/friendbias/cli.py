@@ -5,13 +5,19 @@ rerun with the same config reproduces every file byte for byte. Replica r of
 a generated family uses seed mix_seed(master, r), so results do not depend
 on any execution order.
 
-Exit codes: 0 success, 2 config error, 3 precondition violation (the message
-names the violated condition), 4 numeric guard tripped.
+Exit codes, one per class of exception `main` catches: 0 success;
+2 `ConfigError`, the config is invalid or the library or the file system
+refuses one of its values; 3 `PreconditionError`, a hypothesis of the paper
+fails on the drawn input; 4 `SizeGuardError`, `NonFiniteMeasureError`,
+`RuntimeError` or `ArithmeticError`, a numeric guard. Any other exception is
+a bug: it exits 1 with its traceback. A run that exits non-zero leaves none
+of the files it wrote.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
@@ -21,22 +27,32 @@ from pathlib import Path
 import numpy as np
 
 from . import generators, kernels, measures, oracle, stationary, tree_limits
-from .graph_core import (ExplorationPreconditionError, Graph,
-                         GraphConstructionError, load_edge_list,
+from .graph_core import (Graph, PreconditionError, load_edge_list,
                          save_edge_list, validate_for_exploration)
-from .kernels import KernelError, SizeGuardError
+from .kernels import SizeGuardError
 from .measures import NonFiniteMeasureError
 
 EXPERIMENTS = ("generate", "bias", "stationary", "mixing", "limit-mu",
                "limit-mu-star", "sweep", "joint", "noncommute", "oracle-check")
+# the experiments that draw their graphs from gen and refuse a graph_file
+GEN_ONLY = ("generate", "sweep", "joint")
 
 
 class ConfigError(ValueError):
     """The experiment configuration itself is invalid."""
 
 
-class PreconditionError(ValueError):
-    """A stated experiment precondition does not hold."""
+@contextlib.contextmanager
+def _refusal(prefix: str = ""):
+    """A value from the config refused by the library or the file system: an
+    OSError, or a ValueError that `main` gives no exit code of its own, raised
+    again as a ConfigError whose message is `prefix` and then its own."""
+    try:
+        yield
+    except (PreconditionError, SizeGuardError, NonFiniteMeasureError):
+        raise
+    except (OSError, ValueError) as exc:
+        raise ConfigError(prefix + str(exc)) from exc
 
 
 def _is_int(value) -> bool:
@@ -82,17 +98,20 @@ class ExperimentConfig:
         if not _is_finite_number(self.delta):
             raise ConfigError(f"delta must be a finite number, got "
                               f"{self.delta!r}")
-        if self.kind == "lazy" and not (0.0 < self.delta < 1.0):
+        # stationary reports the lazy walk's residual whatever the kind
+        if ((self.kind == "lazy" or self.experiment == "stationary")
+                and not (0.0 < self.delta < 1.0)):
             raise ConfigError(f"laziness delta must lie in (0, 1), got {self.delta}")
-        for key in ("replicas", "n_samples", "size_cap", "k_max", "bins",
-                    "window_N", "starts_cap"):
+        for key in ("seed", "replicas", "n_samples", "size_cap", "k_max",
+                    "bins", "window_N", "starts_cap"):
             value = getattr(self, key)
             if value is None and key == "starts_cap":
                 continue
             if not _is_int(value):
                 raise ConfigError(f"{key} must be an integer, got {value!r}")
-            if value < 1 and key != "window_N":
-                raise ConfigError(f"{key} must be >= 1")
+            least = 0 if key == "seed" else 1
+            if value < least and key != "window_N":
+                raise ConfigError(f"{key} must be >= {least}")
         if self.n_grid is not None and not (
                 isinstance(self.n_grid, list)
                 and all(_is_int(n) and n >= 1 for n in self.n_grid)):
@@ -116,7 +135,7 @@ class ExperimentConfig:
                 if getattr(self, key):
                     raise ConfigError(f"{key} applies to a gen spec; "
                                       f"graph_file is read as it is")
-            if self.experiment in ("generate", "sweep", "joint"):
+            if self.experiment in GEN_ONLY:
                 raise ConfigError(f"{self.experiment} draws its graphs from "
                                   f"gen; graph_file does not apply")
         if isinstance(self.k, str):
@@ -144,7 +163,7 @@ class ExperimentConfig:
             for k, v in d["pmf"].items():
                 try:
                     pmf[int(k)] = float(v)
-                except (TypeError, ValueError) as exc:
+                except (TypeError, ValueError, OverflowError) as exc:
                     raise ConfigError(
                         f"bad pmf: entry {k!r}: {v!r} needs an integer "
                         f"degree and a numeric probability") from exc
@@ -190,8 +209,9 @@ def schedule_k(cfg: ExperimentConfig, n: int, n_index: int, graph=None) -> int:
     name, value = parse_schedule(k)
     if name == "log_n":
         return max(1, math.ceil(value * math.log(n)))
-    crossing = stationary.mixing_time(graph, cfg.kind, value, cfg.k_max,
-                                      delta=cfg.delta, starts_cap=cfg.starts_cap)
+    with _refusal():
+        crossing = stationary.mixing_time(graph, cfg.kind, value, cfg.k_max,
+                                          delta=cfg.delta, starts_cap=cfg.starts_cap)
     if crossing is None:
         raise PreconditionError(
             f"mixing schedule unresolved: TV never reached {value} within "
@@ -206,9 +226,23 @@ ATOM_CHUNK = 1 << 12
 _ATOMS = "\0atoms\0"
 
 
+# the files the running experiment has written, which `main` removes if it
+# fails
+_written: list[Path] = []
+
+
+def _claim(path: Path) -> Path:
+    """Create `path` empty, with its directory, and record it in `_written`.
+    Every file of a run is claimed before it is written."""
+    with _refusal(f"cannot write {path}: "):
+        path.parent.mkdir(parents=True, exist_ok=True)
+        open(path, "w").close()
+    _written.append(path)
+    return path
+
+
 def _write(path: Path, pieces) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as fh:
+    with open(_claim(path), "w") as fh:
         fh.writelines(pieces)
 
 
@@ -254,7 +288,7 @@ def _write_json(path: Path, payload) -> None:
     text = json.dumps(payload, sort_keys=True, indent=1, default=stand_in)
     head, *tails = text.split(json.dumps(_ATOMS))
     if len(tails) != len(found):
-        raise ValueError("a string in the payload equals the atom placeholder")
+        raise ConfigError("a string in the payload equals the atom placeholder")
 
     def pieces():
         yield head
@@ -300,26 +334,23 @@ def _write_summary(out: Path, cfg: ExperimentConfig,
 def _genspec(cfg: ExperimentConfig, **changes) -> generators.GenSpec:
     """The config's gen spec, with `changes` to its fields."""
     if cfg.gen is None:
-        raise ConfigError("this experiment needs a 'gen' model spec")
-    try:
+        either = "" if cfg.experiment in GEN_ONLY else " or a 'graph_file'"
+        raise ConfigError(f"this experiment needs a 'gen' model spec{either}")
+    with _refusal("bad gen spec: "):
         return replace(generators.GenSpec.from_dict(cfg.gen), **changes)
-    except ValueError as exc:
-        raise ConfigError(f"bad gen spec: {exc}") from exc
 
 
 def _graph(cfg: ExperimentConfig, seed: int, n: int | None = None) -> Graph:
     """The run's one graph source: the gen spec realised on `seed` (at size
     n when given), or the graph file as it is."""
     if cfg.graph_file is not None:
-        try:
+        with _refusal(f"cannot read graph file {cfg.graph_file}: "):
             return load_edge_list(cfg.graph_file)
-        except (OSError, UnicodeDecodeError, GraphConstructionError) as exc:
-            raise ConfigError(f"cannot read graph file {cfg.graph_file}: "
-                              f"{exc}") from exc
     sizes = {} if n is None else {"n": n}
-    return generators.realize(_genspec(cfg, seed=seed, **sizes),
-                              erase=cfg.erase,
-                              restrict_giant=cfg.restrict_giant)
+    with _refusal():
+        return generators.realize(_genspec(cfg, seed=seed, **sizes),
+                                  erase=cfg.erase,
+                                  restrict_giant=cfg.restrict_giant)
 
 
 def _replica_graphs(cfg: ExperimentConfig, seed: int, n: int | None = None):
@@ -353,8 +384,7 @@ def run_generate(cfg: ExperimentConfig) -> int:
     seed = generators.mix_seed(cfg.seed, 0)
     g = _graph(cfg, seed)
     out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
-    save_edge_list(g, out / "graph.edges")
+    save_edge_list(g, _claim(out / "graph.edges"))
     # the spec realised: realize() of it, with the config's post-passes,
     # redraws graph.edges
     meta = generators.gen_metadata(_genspec(cfg, seed=seed))
@@ -375,11 +405,9 @@ def run_bias(cfg: ExperimentConfig) -> int:
         if r == 0:
             # distance of the quenched measure to its stationary limit, in the
             # configured metric (levy by default), when the limit is defined
-            try:
+            with contextlib.suppress(PreconditionError):
                 limit = stationary.stationary_bias(g, scope=cfg.scope)
                 to_limit = measures.DISTANCES[cfg.distance](mus[0], limit)
-            except ExplorationPreconditionError:   # KernelError included
-                pass
     out = Path(cfg.out)
     _write_measure(out / "bias_measure.json", mus[0], cfg)
     primary = mus[0]
@@ -413,7 +441,7 @@ def run_stationary(cfg: ExperimentConfig) -> int:
         try:
             diag[f"residual_{kind}"] = stationary.stationarity_residual(
                 g, kind, delta=cfg.delta)
-        except (KernelError, ExplorationPreconditionError):
+        except PreconditionError:
             diag[f"residual_{kind}"] = None
     diag["config"] = cfg.to_dict()
     _write_json(out / "diagnostics.json", diag)
@@ -424,9 +452,10 @@ def run_stationary(cfg: ExperimentConfig) -> int:
 def run_mixing(cfg: ExperimentConfig) -> int:
     g = _graph(cfg, generators.mix_seed(cfg.seed, 0))
     _check_kind(cfg, g)
-    profile = stationary.mixing_profile(g, cfg.kind, cfg.k_max,
-                                        eps_list=cfg.eps_list, delta=cfg.delta,
-                                        starts_cap=cfg.starts_cap)
+    with _refusal():
+        profile = stationary.mixing_profile(g, cfg.kind, cfg.k_max,
+                                            eps_list=cfg.eps_list, delta=cfg.delta,
+                                            starts_cap=cfg.starts_cap)
     out = Path(cfg.out)
     _write_csv(out / "mixing.csv", cfg, ("k", "D", "kind", "n", "seed"),
                [(k, dv, cfg.kind, g.n, cfg.seed)
@@ -441,17 +470,18 @@ def run_mixing(cfg: ExperimentConfig) -> int:
     return 0
 
 
-def _pmf_law(cfg: ExperimentConfig) -> tree_limits.OffspringLaw:
-    if cfg.pmf is None:
+def _pmf_law(pmf: dict | None) -> tree_limits.OffspringLaw:
+    if pmf is None:
         raise ConfigError("this experiment needs a 'pmf'")
-    try:
-        return tree_limits.OffspringLaw.from_dict(cfg.pmf)
-    except ValueError as exc:
-        raise ConfigError(f"bad pmf: {exc}") from exc
+    with _refusal("bad pmf: "):
+        p = tree_limits.OffspringLaw.from_dict(pmf)
+    with _refusal():
+        p.moment_ratio      # both limit laws need it; undefined at mean zero
+    return p
 
 
 def run_limit_mu(cfg: ExperimentConfig) -> int:
-    p = _pmf_law(cfg)
+    p = _pmf_law(cfg.pmf)
     m = tree_limits.sample_mu(p, cfg.n_samples, cfg.seed)
     limit = tree_limits.exact_mu(p)
     out = Path(cfg.out)
@@ -463,7 +493,7 @@ def run_limit_mu(cfg: ExperimentConfig) -> int:
 
 
 def run_limit_mu_star(cfg: ExperimentConfig) -> int:
-    p = _pmf_law(cfg)
+    p = _pmf_law(cfg.pmf)
     if not p.size_biased.m1 < 1.0:
         raise PreconditionError("mu_star needs a subcritical size-biased law")
     m = tree_limits.sample_mu_star(p, cfg.n_samples, cfg.seed,
@@ -520,7 +550,7 @@ def run_joint(cfg: ExperimentConfig) -> int:
     if spec.model == "configuration":
         if spec.degree_pmf is None:
             raise ConfigError("joint configuration runs need a degree_pmf")
-        p = tree_limits.OffspringLaw.from_dict(spec.degree_pmf)
+        p = _pmf_law(spec.degree_pmf)
     else:
         p = tree_limits.truncated_poisson(float(spec.lam))
     limit = tree_limits.exact_mu(p)
@@ -546,7 +576,7 @@ def run_joint(cfg: ExperimentConfig) -> int:
 
 
 def run_noncommute(cfg: ExperimentConfig) -> int:
-    p = _pmf_law(cfg)
+    p = _pmf_law(cfg.pmf)
     if not p.size_biased.m1 < 1.0:
         raise PreconditionError("noncommute needs a subcritical size-biased law")
     mu = tree_limits.sample_mu(p, cfg.n_samples, generators.mix_seed(cfg.seed, 0))
@@ -653,11 +683,9 @@ FLAGS = {
 def _load_config(args) -> ExperimentConfig:
     data: dict = {}
     if args.config is not None:
-        try:
-            with open(args.config) as fh:
-                data = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
+        with (_refusal(f"cannot read config {args.config}: "),
+              open(args.config) as fh):
+            data = json.load(fh)
     if not isinstance(data, dict):
         raise ConfigError(f"config {args.config} must be a JSON object")
     named = data.setdefault("experiment", args.experiment)
@@ -683,21 +711,26 @@ def _load_config(args) -> ExperimentConfig:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    _written.clear()
+    code = 1    # any other exception is a bug: exit 1 with its traceback
     try:
         cfg = _load_config(args)
-        return RUNNERS[cfg.experiment](cfg)
+        code = RUNNERS[cfg.experiment](cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except (PreconditionError, KernelError, ExplorationPreconditionError) as exc:
+        code = 2
+    except PreconditionError as exc:
         print(f"precondition violation: {exc}", file=sys.stderr)
-        return 3
-    except (SizeGuardError, NonFiniteMeasureError, RuntimeError) as exc:
+        code = 3
+    except (SizeGuardError, NonFiniteMeasureError, RuntimeError,
+            ArithmeticError) as exc:
         print(f"numeric guard: {exc}", file=sys.stderr)
-        return 4
-    except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+        code = 4
+    finally:
+        if code:    # a failed run leaves none of the files it wrote
+            for path in _written:
+                path.unlink(missing_ok=True)
+    return code
 
 
 if __name__ == "__main__":

@@ -25,8 +25,8 @@ class GraphConstructionError(ValueError):
     """Raised when an edge list refers to vertices outside [0, n)."""
 
 
-class ExplorationPreconditionError(ValueError):
-    """Raised when a walk kernel is applied to a structurally invalid graph."""
+class PreconditionError(ValueError):
+    """A hypothesis of the paper does not hold for the input."""
 
 
 def sorted_unique(a: np.ndarray) -> np.ndarray:

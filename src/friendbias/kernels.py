@@ -14,9 +14,8 @@ Three explorations are supported on a fixed graph:
 
 The k-level friendship bias of vertex i is the expected degree of the vertex
 occupied after k steps started at i, minus the degree of i. All kernel
-arithmetic is 64-bit floating point; push operations never renormalise
-(normalisation drift is an invariant under test) -- only explicit DistVector
-constructors may rescale.
+arithmetic is 64-bit floating point and nothing renormalises: a DistVector
+refuses weights whose sum drifts from 1 beyond measures.WEIGHT_TOL.
 """
 
 from __future__ import annotations
@@ -27,12 +26,7 @@ from functools import cached_property
 import numpy as np
 
 from . import measures
-from .graph_core import (ExplorationPreconditionError, Graph,
-                         validate_for_exploration)
-
-
-class KernelError(ExplorationPreconditionError):
-    """A kernel was applied to a graph that cannot support it."""
+from .graph_core import Graph, PreconditionError, validate_for_exploration
 
 
 @dataclass
@@ -151,9 +145,9 @@ class WalkOperator:
     def __init__(self, g: Graph, kind: str, delta: float = 0.5):
         if kind == "lazy" and not (0.0 < delta < 1.0):
             raise ValueError(f"laziness must lie in (0, 1), got {delta}")
-        report = validate_for_exploration(g, "bt" if kind == "lazy" else kind)
+        report = validate_for_exploration(g, kind)
         if not report.ok:
-            raise KernelError(
+            raise PreconditionError(
                 f"graph not valid for {kind!r} exploration: {report.message}")
         self.g, self.kind, self.delta = g, kind, delta
         if kind == "nb":
@@ -182,7 +176,7 @@ class WalkOperator:
     def lift(self, start: int) -> np.ndarray:
         g = self.g
         if not (0 <= start < g.n):
-            raise KernelError(f"start vertex {start} out of range")
+            raise PreconditionError(f"start vertex {start} out of range")
         w = np.zeros(self.states)
         if self.kind == "nb":
             w[g.out_slice(start)] = 1.0 / g.degrees_float[start]

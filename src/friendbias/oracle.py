@@ -18,8 +18,9 @@ from fractions import Fraction
 import numpy as np
 
 from .generators import gen_configuration_model, gen_erdos_renyi
-from .graph_core import Graph, build_graph, validate_for_exploration
-from .kernels import DistVector, KernelError, SizeGuardError
+from .graph_core import (Graph, PreconditionError, build_graph,
+                         validate_for_exploration)
+from .kernels import DistVector, SizeGuardError
 
 MAX_ORACLE_VERTICES = 10
 MAX_ORACLE_K = 6
@@ -38,7 +39,7 @@ def _check_kind(g: Graph, kind: str) -> None:
         raise ValueError(f"oracle supports kinds 'bt' and 'nb', got {kind!r}")
     report = validate_for_exploration(g, kind)
     if not report.ok:
-        raise KernelError(f"graph not valid for {kind!r} walks: {report.message}")
+        raise PreconditionError(f"graph not valid for {kind!r} walks: {report.message}")
 
 
 def _edge_walks_from(g: Graph, start: int, k: int, kind: str):

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph_core import Graph, analyze_components
-from .kernels import DistVector, KernelError, SizeGuardError, WalkOperator
+from .graph_core import Graph, PreconditionError, analyze_components
+from .kernels import DistVector, SizeGuardError, WalkOperator
 from .measures import EmpiricalMeasure
 
 DEFAULT_EPS = (0.25, 0.01, 1e-4)
@@ -37,7 +37,7 @@ def _stationary_degrees(g: Graph) -> np.ndarray:
     """The float degrees, which every stationary law here is built from; a
     graph with an isolated vertex has none."""
     if g.n == 0 or int(g.degrees.min()) == 0:
-        raise KernelError("stationary law undefined: isolated vertex present")
+        raise PreconditionError("stationary law undefined: isolated vertex present")
     return g.degrees_float
 
 

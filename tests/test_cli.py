@@ -175,6 +175,8 @@ def test_bad_pmf_entry_exits_2(tmp_path, capsys, experiment, extra):
     ({"3.5": 1.0}, "entry '3.5': 1.0 needs an integer degree"),
     ({"3": "abc"}, "entry '3': 'abc' needs an integer degree"),
     ([0.5, 0.5], "expected an object of degree: probability entries"),
+    # float() overflows on it, which exited 1 with a traceback
+    ({"3": 10 ** 400}, "entry '3': 1000"),
 ])
 def test_unparsable_pmf_exits_2(tmp_path, capsys, pmf, cause):
     cfg = write_config(tmp_path, "cfg.json", experiment="limit-mu", pmf=pmf,
@@ -499,6 +501,9 @@ def test_zero_mean_offspring_law_exits_2(tmp_path, capsys, experiment, extra):
     # reached
     ("eps_list", [0.01, 1.0]), ("eps_list", [1.5]), ("eps_list", [0]),
     ("eps_list", [-0.1]),
+    # PCG64 refuses a negative seed, and a non-integer one failed with a
+    # traceback
+    ("seed", -1), ("seed", 1.5), ("seed", "7"),
 ])
 def test_bad_config_values_exit_2(tmp_path, capsys, key, value):
     fields = dict(gen={"model": "configuration", "n": 40,
@@ -606,6 +611,120 @@ def test_over_budget_mixing_batch_exits_4(tmp_path, capsys, experiment, extra,
         r"(\d+) bytes", err).groups())
     assert rows == starts and size == rows * states * 8 > MAX_DENSE_BYTES
     assert not (tmp_path / "out").exists()
+
+
+_CM34 = {"model": "configuration", "degree_pmf": {"3": 0.5, "4": 0.5}}
+
+
+@pytest.mark.parametrize("experiment, config, line", [
+    ("limit-mu", {"pmf": {"0": 1.0}},
+     "moment ratio E[D^2]/E[D] undefined: offspring mean is zero"),
+    ("joint", {"gen": {"model": "configuration", "n": 40,
+                       "degree_pmf": {"0": 1.0}}, "n_grid": [40]},
+     "moment ratio E[D^2]/E[D] undefined: offspring mean is zero"),
+    ("sweep", {"gen": {"model": "erdos_renyi", "n": 40, "lam": 4},
+               "n_grid": [3]},
+     "erdos_renyi needs 0 < lam < n, got lam=4.0, n=3"),
+    ("generate", {"gen": {"model": "erdos_renyi", "n": 1, "lam": 0.5}},
+     "erdos_renyi needs n >= 2, got 1"),
+    ("generate", {"gen": dict(_CM34, n=0)}, "vertex count must be >= 1, got 0"),
+    ("generate", {"gen": dict(_CM34, n=-1)},
+     "negative dimensions are not allowed"),
+    ("mixing", {"gen": {"model": "erdos_renyi", "n": 6000, "lam": 8},
+                "kind": "lazy", "restrict_giant": True},
+     "5997 start states exceeds the exact limit 4096; pass starts_cap for a "
+     "subsampled profile"),
+], ids=["limit-mu-zero-mean", "joint-zero-mean", "sweep-er-lam-over-n",
+        "generate-er-n1", "generate-cm-n0", "generate-cm-negative-n",
+        "mixing-over-exact-limit"])
+def test_library_refusals_of_config_values_exit_2(tmp_path, capsys,
+                                                  experiment, config, line):
+    # the library refuses these values with a ValueError; main names them as
+    # config errors without a catch-all over every ValueError
+    cfg = write_config(tmp_path, "cfg.json", experiment=experiment,
+                       out=str(tmp_path / "out"), **config)
+    assert main([experiment, "--config", cfg]) == 2
+    assert capsys.readouterr().err == f"config error: {line}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_failed_run_leaves_none_of_its_files(tmp_path, capsys):
+    # the grid point n = 40 is written before the mixing schedule at n = 400
+    # finds no crossing within k_max
+    cfg = write_config(tmp_path, "j.json", experiment="joint",
+                       gen={"model": "configuration", "n": 40,
+                            "degree_pmf": {"1": 0.3, "3": 0.7}},
+                       erase=True, restrict_giant=True, kind="bt",
+                       k="mix10(0.01)", k_max=200, n_grid=[40, 400], seed=1,
+                       out=str(tmp_path / "out"))
+    assert main(["joint", "--config", cfg]) == 3
+    assert ("precondition violation: mixing schedule unresolved: TV never "
+            "reached 0.01 within k_max=200" in capsys.readouterr().err)
+    assert snapshot(tmp_path / "out") == {}
+
+
+def test_bug_exits_with_its_traceback_and_leaves_no_files(tmp_path,
+                                                         monkeypatch):
+    # a ValueError from inside a run is a bug, not a config error
+    def broken(*args):
+        raise ValueError("broken")
+
+    monkeypatch.setattr(cli, "_write_summary", broken)
+    cfg = write_config(tmp_path, "mu.json", experiment="limit-mu",
+                       pmf={"3": 0.5, "4": 0.5}, n_samples=10,
+                       out=str(tmp_path / "out"))
+    with pytest.raises(ValueError, match="broken"):
+        main(["limit-mu", "--config", cfg])
+    assert snapshot(tmp_path / "out") == {}
+
+
+def test_oracle_mismatch_exits_4(monkeypatch, capsys):
+    def mismatch(g, k, kind):
+        raise ArithmeticError("definitional and symmetrised averages disagree")
+
+    monkeypatch.setattr(cli.oracle, "oracle_avg_bias", mismatch)
+    assert main(["oracle-check"]) == 4
+    assert ("numeric guard: definitional and symmetrised averages disagree"
+            in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("delta", [1.5, 0])
+def test_stationary_delta_outside_unit_interval_exits_2(tmp_path, capsys,
+                                                        delta):
+    # stationary reports the lazy residual at any kind; it wrote its measure
+    # before the walk refused the laziness
+    cfg = write_config(tmp_path, "s.json", experiment="stationary",
+                       gen=dict(_CM34, n=40), delta=delta,
+                       out=str(tmp_path / "out"))
+    assert main(["stationary", "--config", cfg]) == 2
+    assert (f"config error: laziness delta must lie in (0, 1), got {delta}"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("experiment, either", [
+    ("bias", True), ("stationary", True), ("mixing", True),
+    ("generate", False), ("sweep", False), ("joint", False),
+])
+def test_missing_graph_source_names_what_would_do(tmp_path, capsys,
+                                                  experiment, either):
+    cfg = write_config(tmp_path, "cfg.json", experiment=experiment,
+                       n_grid=[40], out=str(tmp_path / "out"))
+    assert main([experiment, "--config", cfg]) == 2
+    line = "config error: this experiment needs a 'gen' model spec"
+    if either:
+        line += " or a 'graph_file'"
+    assert capsys.readouterr().err == line + "\n"
+
+
+def test_unwritable_out_exits_2(tmp_path, capsys):
+    (tmp_path / "file").write_text("")
+    out = tmp_path / "file" / "out"
+    cfg = write_config(tmp_path, "mu.json", experiment="limit-mu",
+                       pmf={"3": 0.5, "4": 0.5}, n_samples=10, out=str(out))
+    assert main(["limit-mu", "--config", cfg]) == 2
+    assert (f"config error: cannot write {out / 'mu_measure.json'}: "
+            in capsys.readouterr().err)
 
 
 def test_rerun_is_byte_identical(tmp_path):

@@ -4,7 +4,8 @@ from hypothesis import given, settings, strategies as st
 
 from friendbias import (DistVector, EmpiricalMeasure, WalkOperator, bias_all,
                         build_graph, validate_for_exploration)
-from friendbias.kernels import KernelError, _k_step_dist, _VertexSums
+from friendbias.graph_core import PreconditionError
+from friendbias.kernels import _k_step_dist, _VertexSums
 from friendbias.oracle import small_graph_corpus
 
 from conftest import dense_transition
@@ -44,7 +45,7 @@ def test_bt_push_errors():
     lonely = build_graph(3, [(0, 1)])
     for g in (loopy, lonely):
         for kind in ("bt", "lazy"):
-            with pytest.raises(KernelError):
+            with pytest.raises(PreconditionError):
                 WalkOperator(g, kind)
     with pytest.raises(ValueError):
         WalkOperator(lonely, "simple")
@@ -103,7 +104,7 @@ def test_nb_walk_circulates_on_triangle(triangle):
 
 
 def test_nb_rejects_low_degree(path3):
-    with pytest.raises(KernelError):
+    with pytest.raises(PreconditionError):
         WalkOperator(path3, "nb")
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from friendbias import build_graph, bias_all
-from friendbias.kernels import KernelError
+from friendbias.graph_core import PreconditionError
 from friendbias.oracle import (SizeGuardError, oracle_avg_bias,
                                oracle_avg_bias_exact, oracle_k_step,
                                oracle_k_step_exact, small_graph_corpus)
@@ -47,13 +47,13 @@ def test_size_guards():
 
 def test_kind_preconditions():
     loopy = build_graph(2, [(0, 1), (1, 1)])
-    with pytest.raises(KernelError):
+    with pytest.raises(PreconditionError):
         enumerate_walks(loopy, 1, "bt")
-    with pytest.raises(KernelError):
+    with pytest.raises(PreconditionError):
         oracle_k_step(build_graph(3, [(0, 1), (1, 2)]), 0, 2, "nb")
-    with pytest.raises(KernelError, match="self-loops"):
+    with pytest.raises(PreconditionError, match="self-loops"):
         bt_avg_bias_is_zero(loopy, 1)
-    with pytest.raises(KernelError, match="isolated vertices"):
+    with pytest.raises(PreconditionError, match="isolated vertices"):
         bt_avg_bias_is_zero(build_graph(3, [(0, 1)]), 1)
 
 

@@ -8,7 +8,8 @@ from friendbias import (DistVector, bias_all, build_graph, mixing_profile,
                         mixing_time, pi_vertex, stationarity_residual,
                         stationary_bias, tv_distance, validate_for_exploration)
 from friendbias import stationary
-from friendbias.kernels import KernelError, SizeGuardError
+from friendbias.graph_core import PreconditionError
+from friendbias.kernels import SizeGuardError
 from friendbias.measures import EmpiricalMeasure, levy_distance
 from friendbias.oracle import small_graph_corpus
 from friendbias.stationary import _column_blocks, _pick_starts
@@ -23,7 +24,7 @@ def test_pi_vertex_examples(path3, triangle, star3):
 
 
 def test_pi_vertex_isolated_error():
-    with pytest.raises(KernelError):
+    with pytest.raises(PreconditionError):
         pi_vertex(build_graph(3, [(0, 1)]))
 
 
@@ -60,7 +61,7 @@ def test_stationary_bias_component_scope():
 def test_stationary_bias_refuses_isolated_vertices():
     g = build_graph(3, [(0, 1)])
     for scope in ("global", "component"):
-        with pytest.raises(KernelError, match="isolated vertex present"):
+        with pytest.raises(PreconditionError, match="isolated vertex present"):
             stationary_bias(g, scope=scope)
     # an unknown scope is named before the graph is looked at
     with pytest.raises(ValueError, match="unknown scope 'local'"):
