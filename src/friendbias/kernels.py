@@ -176,7 +176,7 @@ class WalkOperator:
     def lift(self, start: int) -> np.ndarray:
         g = self.g
         if not (0 <= start < g.n):
-            raise PreconditionError(f"start vertex {start} out of range")
+            raise ValueError(f"start vertex {start} out of range")
         w = np.zeros(self.states)
         if self.kind == "nb":
             w[g.out_slice(start)] = 1.0 / g.degrees_float[start]

@@ -39,7 +39,8 @@ def _check_kind(g: Graph, kind: str) -> None:
         raise ValueError(f"oracle supports kinds 'bt' and 'nb', got {kind!r}")
     report = validate_for_exploration(g, kind)
     if not report.ok:
-        raise PreconditionError(f"graph not valid for {kind!r} walks: {report.message}")
+        raise PreconditionError(
+            f"graph not valid for {kind!r} walks: {report.message}")
 
 
 def _edge_walks_from(g: Graph, start: int, k: int, kind: str):
