@@ -126,6 +126,11 @@ class ExperimentConfig:
             raise ConfigError(f"unknown scope {self.scope!r}")
         if self.distance not in measures.DISTANCES:
             raise ConfigError(f"unknown distance {self.distance!r}")
+        for key in ("graph_file", "out"):
+            value = getattr(self, key)
+            if not (isinstance(value, str)
+                    or key == "graph_file" and value is None):
+                raise ConfigError(f"{key} must be a string, got {value!r}")
         if self.graph_file is not None:
             # one config names one graph source, and a file is read as it is
             if self.gen is not None:
@@ -434,9 +439,9 @@ def run_stationary(cfg: ExperimentConfig) -> int:
     diag = {"scope": cfg.scope, "n": g.n, "num_edges": g.num_edges}
     pi = stationary.pi_vertex(g)
     degf = g.degrees_float
-    ratio = float(np.dot(degf, degf) / degf.sum())
+    ratio = float((degf * degf).sum() / degf.sum())
     diag["stationary_weighted_mean_bias"] = float(
-        np.dot(pi.weights, ratio - degf))
+        (pi.weights * (ratio - degf)).sum())
     for kind in ("bt", "lazy", "nb"):
         try:
             diag[f"residual_{kind}"] = stationary.stationarity_residual(
@@ -523,8 +528,8 @@ def run_sweep(cfg: ExperimentConfig) -> int:
                                               delta=cfg.delta):
             mu_k = measures.EmpiricalMeasure.from_values(deltas)
             lv = measures.levy_distance(mu_k, limit)
-            rows.append((g.n, k, cfg.kind, lv, measures.ks_distance(mu_k, limit),
-                         measures.w1_distance(mu_k, limit)))
+            rows.append((g.n, k, cfg.kind, lv,
+                         *measures.cdf_distances(mu_k, limit)))
             if n >= cfg.window_N and k >= cfg.window_N:
                 worst = max(worst, lv)
     out = Path(cfg.out)

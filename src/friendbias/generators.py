@@ -106,6 +106,9 @@ class GenSpec:
         missing = [key for key in ("model", "n") if key not in d]
         if missing:
             raise ValueError(f"missing keys {missing}")
+        unknown = sorted(set(d) - set(cls.__dataclass_fields__))
+        if unknown:
+            raise ValueError(f"unknown keys {unknown}")
         pmf = d.get("degree_pmf")
         if pmf is not None:
             try:

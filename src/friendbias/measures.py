@@ -112,12 +112,12 @@ class EmpiricalMeasure:
                                weights, meta=meta)
 
     def mean(self) -> float:
-        return float(np.dot(self.weights, self.values))
+        return float((self.weights * self.values).sum())
 
     def moment(self, r: int) -> float:
         if r < 1:
             raise ValueError("moment order must be >= 1")
-        return float(np.dot(self.weights, self.values ** r))
+        return float((self.weights * self.values ** r).sum())
 
     def cdf(self, xs) -> np.ndarray:
         """Right-continuous CDF evaluated at the points `xs`."""
@@ -236,18 +236,25 @@ def _cdf_gap(a: EmpiricalMeasure, b: EmpiricalMeasure):
     return grid, np.abs(gap, out=gap)
 
 
+def cdf_distances(a: EmpiricalMeasure,
+                  b: EmpiricalMeasure) -> tuple[float, float]:
+    """(KS, W1) read off one CDF gap: the Kolmogorov-Smirnov distance, sup
+    of |F_a - F_b| (attained at atoms), and the 1-Wasserstein distance, its
+    integral."""
+    grid, gap = _cdf_gap(a, b)
+    steps = np.diff(grid)
+    steps *= gap[:-1]   # in place: no further array the size of the grid
+    return float(np.max(gap)), float(steps.sum())
+
+
 def ks_distance(a: EmpiricalMeasure, b: EmpiricalMeasure) -> float:
     """Kolmogorov-Smirnov distance: sup of the CDF gap (attained at atoms)."""
-    _, gap = _cdf_gap(a, b)
-    return float(np.max(gap))
+    return cdf_distances(a, b)[0]
 
 
 def w1_distance(a: EmpiricalMeasure, b: EmpiricalMeasure) -> float:
     """1-Wasserstein distance: integral of |F_a - F_b|."""
-    grid, gap = _cdf_gap(a, b)
-    if grid.size < 2:
-        return 0.0
-    return float(np.dot(gap[:-1], np.diff(grid)))
+    return cdf_distances(a, b)[1]
 
 
 DISTANCES = {"levy": levy_distance, "ks": ks_distance, "w1": w1_distance}

@@ -59,7 +59,7 @@ def stationary_bias(g: Graph, scope: str = "global") -> EmpiricalMeasure:
         raise ValueError(f"unknown scope {scope!r}")
     degf = _stationary_degrees(g)
     if scope == "global":
-        ratio = float(np.dot(degf, degf) / degf.sum())
+        ratio = float((degf * degf).sum() / degf.sum())
         deltas = ratio - degf
     else:
         info = analyze_components(g)

@@ -67,11 +67,11 @@ class OffspringLaw:
 
     @property
     def m1(self) -> float:
-        return float(np.dot(self.ps, self.ks))
+        return float((self.ps * self.ks).sum())
 
     @property
     def m2(self) -> float:
-        return float(np.dot(self.ps, self.ks.astype(np.float64) ** 2))
+        return float((self.ps * self.ks.astype(np.float64) ** 2).sum())
 
     @property
     def moment_ratio(self) -> float:

@@ -29,4 +29,4 @@ def w1_distance_searched(a: EmpiricalMeasure, b: EmpiricalMeasure) -> float:
     grid, gap = cdf_gap_searched(a, b)
     if grid.size < 2:
         return 0.0
-    return float(np.dot(gap[:-1], np.diff(grid)))
+    return float((gap[:-1] * np.diff(grid)).sum())

@@ -211,10 +211,12 @@ def test_unparsable_pmf_exits_2(tmp_path, capsys, pmf, cause):
      "erdos_renyi requires a finite lam, got 1000"),
     ({"model": "erdos_renyi", "n": 40, "lam": True},
      "erdos_renyi requires lam > 0, got True"),
+    ({"model": "erdos_renyi", "n": 40, "lam": 2.0, "sed": 5},
+     "unknown keys ['sed']"),
 ], ids=["degree_pmf", "lam", "n", "not_an_object", "n_null", "seed_null",
         "degree_seq_not_a_list", "degree_seq_fractional_even_sum",
         "degree_seq_fractional_odd_sum", "lam_nan", "lam_inf",
-        "lam_huge_int", "lam_bool"])
+        "lam_huge_int", "lam_bool", "unknown_key"])
 def test_malformed_gen_spec_exits_2(tmp_path, capsys, gen, cause):
     cfg = write_config(tmp_path, "cfg.json", experiment="bias", gen=gen,
                        kind="bt", k=2, out=str(tmp_path / "out"))
@@ -504,6 +506,9 @@ def test_zero_mean_offspring_law_exits_2(tmp_path, capsys, experiment, extra):
     # PCG64 refuses a negative seed, and a non-integer one failed with a
     # traceback
     ("seed", -1), ("seed", 1.5), ("seed", "7"),
+    # an integer graph_file was opened as a file descriptor, and an integer
+    # out failed with a traceback
+    ("graph_file", 5), ("out", 5),
 ])
 def test_bad_config_values_exit_2(tmp_path, capsys, key, value):
     fields = dict(gen={"model": "configuration", "n": 40,

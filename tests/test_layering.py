@@ -1,8 +1,9 @@
 """The import graph between the modules of `friendbias`, the package
-definitions that the CLI and the README quick start reach, and the
-dataclass fields the package reads, all read from the source with ast,
-function-local imports included. Importing the package would not show
-them: `friendbias/__init__` imports every module."""
+definitions that the CLI and the README quick start reach, the dataclass
+fields the package reads, and the BLAS-backed numpy routines it must not
+call, all read from the source with ast, function-local imports included.
+Importing the package would not show them: `friendbias/__init__` imports
+every module."""
 
 import ast
 import re
@@ -231,3 +232,47 @@ def test_every_dataclass_field_is_read_in_src():
     sources = [p.read_text() for p in sorted(PACKAGE.glob("*.py"))]
     unread = unread_fields(sources)
     assert unread == [], f"fields stored but never read: {unread}"
+
+
+# numpy routines that may run on BLAS, whose sums split over its threads
+BLAS_NAMES = {"dot", "vdot", "inner", "matmul", "tensordot", "einsum", "linalg"}
+
+
+def blas_uses(source: str) -> list:
+    """(line, name) of every use in `source` of a routine in BLAS_NAMES, as
+    an attribute (`np.dot`, `x.dot`) or an imported name, and of the `@`
+    operator, in line order."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr in BLAS_NAMES:
+            found.append((node.lineno, node.attr))
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [a.name.split(".")[-1] for a in node.names]
+            if isinstance(node, ast.ImportFrom) and node.module:
+                names += node.module.split(".")
+            found += [(node.lineno, name) for name in names
+                      if name in BLAS_NAMES]
+        elif (isinstance(node, (ast.BinOp, ast.AugAssign))
+              and isinstance(node.op, ast.MatMult)):
+            found.append((node.lineno, "@"))
+    return sorted(found)
+
+
+def test_blas_reader_sees_every_form_of_use():
+    source = ("import numpy as np\nimport numpy.linalg\n"
+              "from numpy import einsum, sum\nfrom numpy.linalg import norm\n"
+              "inner = 1\n"
+              "a = np.dot(x, y) + x.dot(y) + (x @ y)\n"
+              "b = np.inner(x, y) + np.tensordot(x, y) + np.vdot(x, y)\n"
+              "x @= y\nc = np.matmul(x, y) + np.linalg.norm(x)\n"
+              "d = (x * y).sum() + np.sum(x) + np.add.reduce(x)\n")
+    assert blas_uses(source) == [
+        (2, "linalg"), (3, "einsum"), (4, "linalg"), (6, "@"), (6, "dot"),
+        (6, "dot"), (7, "inner"), (7, "tensordot"), (7, "vdot"), (8, "@"),
+        (9, "linalg"), (9, "matmul")]
+
+
+def test_no_reduction_in_src_runs_on_blas():
+    found = {name: blas_uses((PACKAGE / f"{name}.py").read_text())
+             for name in sorted(MODULES)}
+    assert {name: uses for name, uses in found.items() if uses} == {}
