@@ -361,22 +361,27 @@ def _graph(cfg: ExperimentConfig, seed: int, n: int | None = None) -> Graph:
 def _replica_graphs(cfg: ExperimentConfig, seed: int, n: int | None = None):
     """Yield replica r = 0..replicas-1 of the run's graph, checked for
     cfg.kind: a generated family realised on mix_seed(seed, r), or the graph
-    file as its one replica."""
+    file as its one replica.
+
+    The generator keeps no reference to a graph it has yielded, so a caller
+    that drops its own before the next one is realised holds one replica
+    graph at a time."""
     if cfg.graph_file is not None and cfg.replicas > 1:
         raise ConfigError("replicas > 1 requires a generated family, not a "
                           "graph file")
     for r in range(cfg.replicas):
-        g = _graph(cfg, generators.mix_seed(seed, r), n)
-        _check_kind(cfg, g, "" if cfg.graph_file else f"replica {r}: ")
-        yield g
+        yield _check_kind(cfg, _graph(cfg, generators.mix_seed(seed, r), n),
+                          "" if cfg.graph_file else f"replica {r}: ")
 
 
-def _check_kind(cfg: ExperimentConfig, g: Graph, where: str = "") -> None:
+def _check_kind(cfg: ExperimentConfig, g: Graph, where: str = "") -> Graph:
+    """g, once it is valid for cfg.kind."""
     report = validate_for_exploration(g, cfg.kind)
     if not report.ok:
         raise PreconditionError(
             f"{where}graph invalid for {cfg.kind!r} exploration: "
             f"{report.message} (vertices {report.violations[:10]})")
+    return g
 
 
 def _fixed_k(cfg: ExperimentConfig) -> int:
@@ -404,7 +409,10 @@ def run_bias(cfg: ExperimentConfig) -> int:
     k = _fixed_k(cfg)
     mus = []
     to_limit = None
-    for r, g in enumerate(_replica_graphs(cfg, cfg.seed)):
+    # no enumerate: its reused result tuple would hold the last graph while
+    # the next one is realised
+    for g in _replica_graphs(cfg, cfg.seed):
+        r = len(mus)
         mus.append(kernels.bias_all(g, k, cfg.kind, delta=cfg.delta,
                                     meta={"replica": r, "seed": cfg.seed}))
         if r == 0:
@@ -413,6 +421,7 @@ def run_bias(cfg: ExperimentConfig) -> int:
             with contextlib.suppress(PreconditionError):
                 limit = stationary.stationary_bias(g, scope=cfg.scope)
                 to_limit = measures.DISTANCES[cfg.distance](mus[0], limit)
+        del g   # before the next replica is realised
     out = Path(cfg.out)
     _write_measure(out / "bias_measure.json", mus[0], cfg)
     primary = mus[0]
@@ -568,6 +577,7 @@ def run_joint(cfg: ExperimentConfig) -> int:
             if k_n is None:
                 k_n = schedule_k(cfg, n, idx, graph=g)
             mus.append(kernels.bias_all(g, k_n, cfg.kind, delta=cfg.delta))
+            del g   # before the next replica is realised, and before pooling
         pooled = measures.EmpiricalMeasure.mixture(
             mus, meta={"n": n, "k": k_n, "kind": cfg.kind,
                        "replicas": cfg.replicas})
@@ -575,6 +585,7 @@ def run_joint(cfg: ExperimentConfig) -> int:
         mean_gap = abs(float(np.mean([m.mean() for m in mus])) - limit.mean())
         rows.append((n, k_n, measures.levy_distance(pooled, limit),
                      measures.w1_distance(pooled, limit), mean_gap))
+        del pooled      # not held while the next grid point's replicas run
     _write_csv(out / "joint.csv", cfg, ("n", "k_n", "levy", "w1", "mean_gap"),
                rows)
     return 0

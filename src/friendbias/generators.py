@@ -214,7 +214,11 @@ def gen_erdos_renyi(n: int, lam: float, seed: int) -> Graph:
 def gen_configuration_model(degree_seq, seed: int) -> Graph:
     """Uniform stub pairing: half-edge stubs are permuted and matched in
     consecutive pairs, giving a uniform perfect matching. The output is a
-    multigraph (self-loops and parallel edges possible)."""
+    multigraph (self-loops and parallel edges possible).
+
+    The stubs are shuffled in place. Generator.permutation(k) is
+    shuffle(arange(k)), so this is the pairing of
+    stubs[rng.permutation(stubs.size)], bit for bit, without its copy."""
     seq = np.asarray(degree_seq, dtype=np.int64)
     if np.any(seq < 0):
         raise ValueError("degrees must be nonnegative")
@@ -223,8 +227,8 @@ def gen_configuration_model(degree_seq, seed: int) -> Graph:
         raise ValueError(f"degree sum {total} is odd")
     stubs = np.repeat(np.arange(seq.size, dtype=np.int64), seq)
     rng = _rng(seed)
-    s = stubs[rng.permutation(stubs.size)]
-    return build_graph(seq.size, s.reshape(-1, 2))
+    rng.shuffle(stubs)
+    return build_graph(seq.size, stubs.reshape(-1, 2))
 
 
 def sample_degree_sequence(pmf: dict, n: int, seed: int) -> np.ndarray:

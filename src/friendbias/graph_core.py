@@ -12,6 +12,9 @@ The half-edges are also laid out grouped by tail (a CSR layout). Every
 vertex has as many half-edges in as out, and the twins of the half-edges
 leaving a vertex are the half-edges entering it, so this one layout serves
 both row sums and pushes of the walk kernels.
+
+Only tails are stored: `tails` is `edges` read as one flat array, and the
+head of half-edge e is the tail of its twin, tails[e ^ 1].
 """
 
 from __future__ import annotations
@@ -45,8 +48,7 @@ class Graph:
     n: int
     edges: np.ndarray            # int64 (m, 2), endpoint pairs in input order
     degrees: np.ndarray          # int64, degrees[i] counts half-edges with tail i
-    tails: np.ndarray            # int64, tail vertex of each half-edge
-    heads: np.ndarray            # int64, head vertex of each half-edge
+    tails: np.ndarray            # int64, tail of each half-edge: edges, flat
     out_start: np.ndarray        # CSR offsets of half-edges grouped by tail
     out_edges: np.ndarray        # half-edge ids sorted by (tail, id)
     _degf: np.ndarray | None = field(default=None, repr=False)
@@ -58,6 +60,12 @@ class Graph:
     @property
     def num_half_edges(self) -> int:
         return 2 * self.num_edges
+
+    @property
+    def heads(self) -> np.ndarray:
+        """Head vertex of each half-edge, tails[e ^ 1]; a new array on every
+        call, as no head is stored."""
+        return self.edges[:, ::-1].reshape(-1)
 
     @property
     def degrees_float(self) -> np.ndarray:
@@ -75,14 +83,16 @@ def build_graph(n: int, edges) -> Graph:
     raises on out-of-range indices.
 
     Half-edges are numbered in input order: edge t contributes ids 2t and
-    2t + 1, so construction is deterministic for a fixed edge order.
+    2t + 1, so construction is deterministic for a fixed edge order. A
+    C-contiguous int64 (m, 2) array is taken over, not copied: the graph's
+    `edges` is that array, which the caller must not change afterwards.
     """
     if n < 1:
         raise GraphConstructionError(f"vertex count must be >= 1, got {n}")
     if not isinstance(edges, np.ndarray):
         edges = list(edges)
     try:
-        edges = np.array(edges, dtype=np.int64)
+        edges = np.ascontiguousarray(edges, dtype=np.int64)
     except OverflowError:   # ids beyond int64 are out of range: keep them exact
         edges = np.array(edges, dtype=object)
     if edges.size == 0:
@@ -90,19 +100,23 @@ def build_graph(n: int, edges) -> Graph:
     if edges.ndim != 2 or edges.shape[1] != 2:
         raise GraphConstructionError(
             f"edges must be endpoint pairs, got shape {edges.shape}")
-    bad = np.flatnonzero(((edges < 0) | (edges >= n)).any(axis=1))
-    if bad.size:
-        u, v = edges[bad[0]].tolist()
-        raise GraphConstructionError(f"edge ({u}, {v}) out of range for n={n}")
+    # two reductions decide; the scan over rows only names the first bad edge
+    if edges.size and (edges.min() < 0 or edges.max() >= n):
+        u, v = edges[np.argmax(((edges < 0) | (edges >= n)).any(axis=1))]
+        raise GraphConstructionError(
+            f"edge ({int(u)}, {int(v)}) out of range for n={n}")
     tails = edges.reshape(-1)
-    heads = edges[:, ::-1].reshape(-1)
-    degrees = np.bincount(tails, minlength=n).astype(np.int64)
+    degrees = np.bincount(tails, minlength=n).astype(np.int64, copy=False)
     out_start = np.concatenate(([0], np.cumsum(degrees)))
     # ids grouped by tail, ascending within each: sorting the distinct keys
-    # tail * 2m + id is several times faster than a stable argsort
+    # tail * 2m + id is several times faster than a stable argsort; the keys
+    # are built, sorted and reduced in place
     m2 = max(tails.size, 1)
-    out_edges = np.sort(tails * m2 + np.arange(tails.size)) % m2
-    return Graph(n=n, edges=edges, degrees=degrees, tails=tails, heads=heads,
+    out_edges = tails * m2
+    out_edges += np.arange(tails.size)
+    out_edges.sort()
+    out_edges %= m2
+    return Graph(n=n, edges=edges, degrees=degrees, tails=tails,
                  out_start=out_start, out_edges=out_edges)
 
 
@@ -172,7 +186,7 @@ def validate_for_exploration(g: Graph, kind: str) -> ValidationReport:
         ok = viol.size == 0
         msg = "ok" if ok else f"{viol.size} vertices of degree < 2"
         return ValidationReport(ok=ok, violations=viol.tolist(), message=msg)
-    loops = np.unique(g.tails[g.tails == g.heads])
+    loops = np.unique(g.edges[g.edges[:, 0] == g.edges[:, 1], 0])
     isolated = np.flatnonzero(g.degrees == 0)
     viol = np.union1d(loops, isolated)
     ok = viol.size == 0

@@ -119,6 +119,16 @@ class _VertexSums:
         return np.take(head, self.position, axis=0)
 
 
+def _pairs(x: np.ndarray) -> np.ndarray:
+    """x with axis 0 split into twin pairs: x[e] sits at [e // 2, e % 2]."""
+    return x.reshape((-1, 2) + x.shape[1:])
+
+
+def _twins(x: np.ndarray) -> np.ndarray:
+    """The pair-swapped view of x: at the place of half-edge e, x[e ^ 1]."""
+    return _pairs(x)[:, ::-1]
+
+
 class WalkOperator:
     """One step of an exploration as a linear map on its states.
 
@@ -135,11 +145,15 @@ class WalkOperator:
     bit-identical to a 1-D call. Every per-vertex sum runs over the
     tail-grouped CSR: a push gathers, for each vertex, what arrives over
     the twins of its out-edges, which are its in-edges (`out_edges ^ 1`
-    for nb, their tails `heads[out_edges]` for bt/lazy). `_VertexSums`
+    for nb, their tails `tails[out_edges ^ 1]` for bt/lazy). `_VertexSums`
     holds that gather in a degree-ordered column layout and adds in
     np.add.reduceat's float order, so every sum is bit-identical to a
     reduceat over the CSR. nb `expect` keeps a bincount instead, whose
     order the nb biases depend on. Nothing is renormalised.
+
+    The nb operator stores only `_fanout`: the twin of half-edge e is
+    e ^ 1, so the twin of every state is read off a pair-swapped view
+    (`_twins`), and the head of e is the tail of its twin.
     """
 
     def __init__(self, g: Graph, kind: str, delta: float = 0.5):
@@ -152,8 +166,8 @@ class WalkOperator:
         self.g, self.kind, self.delta = g, kind, delta
         if kind == "nb":
             self.states, self.support, self.lift_steps = g.num_half_edges, "edges", 1
-            self._fanout = g.degrees_float[g.heads] - 1.0   # choices leaving head(e)
-            self._twin = np.arange(g.num_half_edges, dtype=np.int64) ^ 1
+            self._fanout = self.observe(g.degrees_float)   # choices leaving head(e)
+            self._fanout -= 1.0
         else:
             self.states, self.support, self.lift_steps = g.n, "vertices", 0
 
@@ -165,7 +179,7 @@ class WalkOperator:
         if self.kind == "nb":
             in_states = g.out_edges ^ 1                     # grouped by head
         else:
-            in_states = g.heads[g.out_edges]
+            in_states = g.tails[g.out_edges ^ 1]
         return _VertexSums(g.out_start, in_states)
 
     def _lazy(self, w: np.ndarray, stepped: np.ndarray) -> np.ndarray:
@@ -189,16 +203,22 @@ class WalkOperator:
         per_state = (slice(None),) + (None,) * (w.ndim - 1)
         if self.kind == "nb":
             z = w / self._fanout[per_state]
-            s = self._vertex_sums(z)
-            return np.take(s, g.tails, axis=0) - np.take(z, self._twin, axis=0)
+            s = np.take(self._vertex_sums(z), g.tails, axis=0)
+            pairs = _pairs(s)
+            pairs -= _twins(z)                      # s[tail(e)] - z[twin(e)]
+            return s
         z = w / g.degrees_float[per_state]
         return self._lazy(w, self._vertex_sums(z))
 
     def expect(self, y: np.ndarray) -> np.ndarray:
         g = self.g
         if self.kind == "nb":
-            t = np.bincount(g.tails, weights=y, minlength=g.n)
-            return (t[g.heads] - y[self._twin]) / self._fanout
+            # (t[head(e)] - y[twin(e)]) / fanout[e], in place on one array
+            s = self.observe(np.bincount(g.tails, weights=y, minlength=g.n))
+            pairs = _pairs(s)
+            pairs -= _twins(y)
+            s /= self._fanout
+            return s
         return self._lazy(y, self._vertex_sums(y) / g.degrees_float)
 
     def to_vertices(self, w: np.ndarray) -> np.ndarray:
@@ -208,7 +228,9 @@ class WalkOperator:
 
     def observe(self, f: np.ndarray) -> np.ndarray:
         """The state observable f(vertex the state stands on)."""
-        return f[self.g.heads] if self.kind == "nb" else f
+        if self.kind == "nb":
+            return f[self.g.edges[:, ::-1]].reshape(-1)     # f(head(e))
+        return f
 
     def lifted_mean(self, y: np.ndarray) -> np.ndarray:
         """Per start vertex i, the mean of a state observable under lift(i)."""
@@ -250,6 +272,16 @@ def _levels(op: WalkOperator, k_max: int):
         yield k, y
 
 
+def _biases(g: Graph, k: int, kind: str, delta: float) -> np.ndarray:
+    """The k-level bias of every vertex. The operator and the last level
+    die with this call, before the caller builds its measure."""
+    op = WalkOperator(g, kind, delta)
+    for level, y in _levels(op, k):
+        if level == k:
+            return op.lifted_mean(y) - g.degrees_float
+    return np.zeros(g.n)        # k = 0: every walk stays at its start
+
+
 def bias_all(g: Graph, k: int, kind: str, delta: float = 0.5,
              meta: dict | None = None) -> measures.EmpiricalMeasure:
     """Empirical distribution of the k-level biases over all vertices.
@@ -257,16 +289,12 @@ def bias_all(g: Graph, k: int, kind: str, delta: float = 0.5,
     The returned measure places mass 1/n on each vertex's bias; its mean is
     the average k-level bias and is stored in meta["mean_bias"].
     """
-    op = WalkOperator(g, kind, delta)
-    deltas = np.zeros(g.n)
-    for level, y in _levels(op, k):
-        if level == k:
-            deltas = op.lifted_mean(y) - g.degrees_float
     info = {"n": g.n, "k": k, "kind": kind}
     if kind == "lazy":
         info["delta"] = delta
     info.update(meta or {})
-    m = measures.EmpiricalMeasure.from_values(deltas, meta=info)
+    m = measures.EmpiricalMeasure.from_values(_biases(g, k, kind, delta),
+                                              meta=info)
     m.meta["mean_bias"] = m.mean()
     return m
 

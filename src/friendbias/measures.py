@@ -25,6 +25,16 @@ WEIGHT_TOL = 1e-12
 LEVY_RESOLUTION = 1e-12
 
 
+# atoms per block of the distance loops below: their temporaries are this
+# size, not the size of a measure or of a union grid
+BLOCK = 1 << 16
+
+
+def _blocks(size: int):
+    """(start, stop) of consecutive blocks of BLOCK covering range(size)."""
+    return ((s, min(s + BLOCK, size)) for s in range(0, size, BLOCK))
+
+
 class NonFiniteMeasureError(ValueError):
     """A measure was given a NaN or infinite value or weight."""
 
@@ -32,6 +42,17 @@ class NonFiniteMeasureError(ValueError):
 def _cumulative(weights: np.ndarray) -> np.ndarray:
     """[0, w0, w0 + w1, ...]: entry i is the mass of the first i atoms."""
     return np.concatenate(([0.0], np.cumsum(weights)))
+
+
+def _run_starts(v: np.ndarray) -> np.ndarray:
+    """Index of the first value of each run of the sorted, non-empty v
+    whose steps are at most MERGE_TOL. Where every run is one value,
+    v[starts] is v and np.add.reduceat(w, starts) is w, so callers skip
+    them."""
+    new_run = np.empty(v.size, dtype=bool)
+    new_run[0] = True
+    np.greater(np.diff(v), MERGE_TOL, out=new_run[1:])
+    return np.flatnonzero(new_run)
 
 
 def _require_finite(name: str, arr: np.ndarray) -> None:
@@ -93,23 +114,32 @@ class EmpiricalMeasure:
             w = np.asarray(weights, dtype=np.float64).ravel()
             order = np.argsort(v, kind="stable")
             v, w = v[order], w[order]
-        if v.size > 1:
-            new_group = np.empty(v.size, dtype=bool)
-            new_group[0] = True
-            np.greater(np.diff(v), MERGE_TOL, out=new_group[1:])
-            starts = np.flatnonzero(new_group)
-            v = v[starts]
-            w = np.add.reduceat(w, starts)
+        starts = _run_starts(v)
+        if starts.size < v.size:
+            v, w = v[starts], np.add.reduceat(w, starts)
         return cls(values=v, weights=w, meta=dict(meta or {}))
 
     @classmethod
     def mixture(cls, parts, meta=None) -> "EmpiricalMeasure":
         """Uniform mixture of measures: each part keeps 1/len(parts) of the
-        mass."""
-        weights = np.concatenate([m.weights for m in parts])
+        mass.
+
+        The same measure as from_values of the concatenated atoms, each
+        weight divided by len(parts): the pooled atoms are sorted once, and
+        each concatenation and the order are freed as soon as they are used,
+        so the merge runs on the sorted pool alone."""
+        values = np.concatenate([m.values for m in parts])
+        order = np.argsort(values, kind="stable")
+        values = values[order]
+        weights = np.concatenate([m.weights for m in parts])[order]
+        del order
         weights /= len(parts)
-        return cls.from_values(np.concatenate([m.values for m in parts]),
-                               weights, meta=meta)
+        starts = _run_starts(values)
+        if starts.size < values.size:
+            values = values[starts]
+            weights = np.add.reduceat(weights, starts)
+        del starts
+        return cls(values=values, weights=weights, meta=dict(meta or {}))
 
     def mean(self) -> float:
         return float((self.weights * self.values).sum())
@@ -189,10 +219,13 @@ def levy_distance(a: EmpiricalMeasure, b: EmpiricalMeasure) -> float:
         failed to its violators."""
         for side in sides:
             u, f_at, other, cum_other = side
-            # one expression, so that its temporaries are freed before a prune
-            # allocates the violators (this bounds the peak memory of a call)
-            bad = f_at > (cum_other[np.searchsorted(other, u + eps, side="right")]
-                          + eps + 1e-15)
+            # block by block, so that the temporaries of the test are the
+            # size of a block (this bounds the peak memory of a call)
+            bad = np.empty(u.size, dtype=bool)
+            for s, e in _blocks(u.size):
+                bad[s:e] = f_at[s:e] > (
+                    cum_other[np.searchsorted(other, u[s:e] + eps, side="right")]
+                    + eps + 1e-15)
             if bad.any():
                 side[0], side[1] = u[bad], f_at[bad]
                 return False
@@ -218,7 +251,8 @@ def _cdf_gap(a: EmpiricalMeasure, b: EmpiricalMeasure):
     longer. The merge knows where each atom of the longer measure lands, so
     only the shorter measure's CDF (a limit law's, with few atoms) is
     searched on the grid. |x - y| and |y - x| have the same bits, so a and b
-    may swap roles.
+    may swap roles. Besides the grid and the gap, no array larger than a
+    block or than the shorter measure is allocated.
     """
     if a.values.size < b.values.size:
         a, b = b, a
@@ -227,12 +261,14 @@ def _cdf_gap(a: EmpiricalMeasure, b: EmpiricalMeasure):
     new = u[np.minimum(pos, u.size - 1)] != v
     at = pos[new]
     grid = np.insert(u, at, v[new])
-    # F_a on the grid: the cumulative weights, with the mass below each
-    # inserted atom spliced in (0 below the first atom); then |F_a - F_b|
-    # in place, so that few arrays the size of the grid are alive at once
-    gap = np.cumsum(a.weights)
-    gap = np.insert(gap, at, np.where(at > 0, gap[at - 1], 0.0))
-    gap -= _cumulative(b.weights)[np.searchsorted(v, grid, side="right")]
+    # F_a on the grid: the cumulative sum of a's weights with a zero weight
+    # spliced in at each inserted atom, which repeats the mass below it
+    # (x + 0.0 is x); then |F_a - F_b| in place
+    gap = np.insert(a.weights, at, 0.0)
+    np.cumsum(gap, out=gap)
+    cum_b = _cumulative(b.weights)
+    for s, e in _blocks(grid.size):
+        gap[s:e] -= cum_b[np.searchsorted(v, grid[s:e], side="right")]
     return grid, np.abs(gap, out=gap)
 
 
@@ -242,9 +278,12 @@ def cdf_distances(a: EmpiricalMeasure,
     of |F_a - F_b| (attained at atoms), and the 1-Wasserstein distance, its
     integral."""
     grid, gap = _cdf_gap(a, b)
-    steps = np.diff(grid)
-    steps *= gap[:-1]   # in place: no further array the size of the grid
-    return float(np.max(gap)), float(steps.sum())
+    ks = float(np.max(gap))
+    # W1 sums gap[i] * (grid[i + 1] - grid[i]): the products overwrite gap,
+    # block by block, so no further array the size of the grid is allocated
+    for s, e in _blocks(gap.size - 1):
+        gap[s:e] *= grid[s + 1:e + 1] - grid[s:e]
+    return ks, float(gap[:-1].sum())
 
 
 def ks_distance(a: EmpiricalMeasure, b: EmpiricalMeasure) -> float:

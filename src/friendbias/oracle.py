@@ -55,7 +55,7 @@ def _edge_walks_from(g: Graph, start: int, k: int, kind: str):
         for e in g.out_slice(u):
             if kind == "nb" and edges and e == (edges[-1] ^ 1):
                 continue
-            stack.append((verts + (int(g.heads[e]),), edges + (int(e),)))
+            stack.append((verts + (int(g.tails[e ^ 1]),), edges + (int(e),)))
 
 
 def _walk_weight(degs, verts, kind) -> Fraction:

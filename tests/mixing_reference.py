@@ -35,7 +35,8 @@ def push_rows(op: WalkOperator, w: np.ndarray) -> np.ndarray:
     if op.kind == "nb":
         z = w / op._fanout
         s = _vertex_sums(op._vertex_sums, z)
-        return s[..., g.tails] - z[..., op._twin]
+        twin = np.arange(op.states) ^ 1
+        return s[..., g.tails] - z[..., twin]
     z = w / g.degrees_float
     return op._lazy(w, _vertex_sums(op._vertex_sums, z))
 

@@ -2,6 +2,7 @@ import json
 import math
 import re
 import tracemalloc
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -1037,3 +1038,40 @@ def test_write_json_streams_the_atoms(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2 ** 20
+
+
+@pytest.mark.parametrize("experiment, extra", [
+    ("joint", {"k": 3, "n_grid": [60, 120]}),
+    ("bias", {"k": 3}),
+])
+def test_no_replica_graph_outlives_its_measure(tmp_path, monkeypatch,
+                                               experiment, extra):
+    """While a replica graph is realised, and while the replicas' measures
+    are pooled, every earlier replica graph is already freed."""
+    from friendbias import generators
+    realised = []
+
+    def alive():
+        return [r for r in realised if r() is not None]
+
+    def tracked_realize(*args, **kwargs):
+        assert alive() == []
+        g = realize(*args, **kwargs)
+        realised.append(weakref.ref(g))
+        return g
+
+    def tracked_mixture(parts, meta=None):
+        assert alive() == []
+        return mixture(parts, meta)
+
+    mixture = EmpiricalMeasure.mixture
+    monkeypatch.setattr(generators, "realize", tracked_realize)
+    monkeypatch.setattr(EmpiricalMeasure, "mixture",
+                        staticmethod(tracked_mixture))
+    cfg = write_config(tmp_path, "cfg.json", experiment=experiment,
+                       gen={"model": "configuration", "n": 60,
+                            "degree_pmf": {"3": 0.5, "4": 0.5}},
+                       kind="nb", replicas=3, seed=4,
+                       out=str(tmp_path / "out"), **extra)
+    assert main([experiment, "--config", cfg]) == 0
+    assert len(realised) == 3 * len(extra.get("n_grid", [60]))

@@ -204,3 +204,22 @@ def test_mix_seed_avalanche():
     # frozen values guard the documented algorithm against silent change
     assert mix_seed(0, 0) == 16294208416658607535
     assert mix_seed(2024, 7) == 11000608607208515474
+
+
+@pytest.mark.parametrize("seq", [[], [0, 0, 0], [1, 1], [3, 3, 2, 2],
+                                 [4, 1, 0, 7, 2], [3, 4] * 500])
+def test_stub_shuffle_is_the_permutation_gather(seq):
+    # gen_configuration_model shuffles its stubs in place; numpy's
+    # Generator.permutation(k) is shuffle(arange(k)), so both give the
+    # pairing of stubs[permutation] bit for bit. A numpy release that
+    # changes either fails here by name, not only through the byte gate.
+    stubs = np.repeat(np.arange(len(seq), dtype=np.int64), seq)
+    for seed in (0, 1, 505, 2 ** 63 + 11):
+        want = stubs[np.random.Generator(np.random.PCG64(seed))
+                     .permutation(stubs.size)]
+        shuffled = stubs.copy()
+        np.random.Generator(np.random.PCG64(seed)).shuffle(shuffled)
+        assert shuffled.tolist() == want.tolist()
+        if seq:     # a graph needs a vertex; the empty shuffle is checked
+            g = gen_configuration_model(seq, seed)
+            assert g.edges.reshape(-1).tolist() == want.tolist()

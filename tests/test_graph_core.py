@@ -79,6 +79,28 @@ def test_handshake_and_twin_involution(data):
         assert g.degrees[i] == expect
 
 
+@given(edge_lists)
+def test_out_edges_group_half_edges_by_tail_in_id_order(data):
+    n, edges = data
+    g = build_graph(n, edges)
+    assert g.out_edges.tolist() == np.argsort(g.tails, kind="stable").tolist()
+    assert g.out_start.tolist() == [0] + np.cumsum(g.degrees).tolist()
+
+
+def test_build_graph_takes_over_an_int64_edge_array():
+    # a C-contiguous int64 (m, 2) array becomes the graph's edges, which
+    # tails views; any other input is converted to one
+    edges = np.array([[0, 1], [1, 2], [2, 0]], dtype=np.int64)
+    g = build_graph(3, edges)
+    assert g.edges is edges
+    assert np.shares_memory(g.tails, edges)
+    for other in (edges.astype(np.int32), edges[:, ::-1], edges.tolist()):
+        h = build_graph(3, other)
+        assert not np.shares_memory(h.edges, edges)
+        assert h.edges.flags.c_contiguous and h.edges.dtype == np.int64
+        assert np.shares_memory(h.tails, h.edges)
+
+
 @given(edge_lists, st.randoms(use_true_random=False))
 @settings(max_examples=60)
 def test_component_flags_invariant_under_relabeling(data, rnd):

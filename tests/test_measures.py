@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from friendbias import measures
 from friendbias.measures import (MERGE_TOL, EmpiricalMeasure,
                                  NonFiniteMeasureError, ks_distance,
                                  levy_distance, w1_distance)
@@ -289,6 +290,41 @@ def test_mixture_pools_equal_mass_parts():
     assert m.values.tolist() == [0.0, 1.0, 3.0]
     assert m.weights.tolist() == [0.25, 0.375, 0.375]
     assert m.meta == {"replicas": 2}
+
+
+@given(st.lists(grid_measures(), min_size=1, max_size=5))
+@settings(max_examples=100, deadline=None)
+def test_mixture_is_from_values_of_the_pooled_atoms(parts):
+    # atoms shared across parts and atoms just past the merge distance: the
+    # one sort of the pool and the merge give from_values' bits
+    m = EmpiricalMeasure.mixture(parts, meta={"replicas": len(parts)})
+    weights = np.concatenate([p.weights for p in parts])
+    weights /= len(parts)
+    want = EmpiricalMeasure.from_values(
+        np.concatenate([p.values for p in parts]), weights,
+        meta={"replicas": len(parts)})
+    assert m.values.tobytes() == want.values.tobytes()
+    assert m.weights.tobytes() == want.weights.tobytes()
+    assert m.meta == want.meta
+
+
+# blocks of 2 on the thousands of atoms of "large" would take seconds
+@pytest.mark.parametrize("family, block", [
+    (family, block) for family in ("random", "mixture", "large", "shared")
+    for block in (2, 7, 1000) if (family, block) != ("large", 2)])
+@given(data=st.data())
+@settings(max_examples=20, deadline=None)
+def test_distances_in_blocks_match_the_references(family, block, data):
+    # the Levy test and the CDF gap run block by block; with blocks far
+    # smaller than the measures every block boundary is crossed, and the
+    # bits stay those of the one-pass references
+    a, b = gap_pair(data, family)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(measures, "BLOCK", block)
+        for x, y in ((a, b), (b, a)):
+            assert levy_distance(x, y).hex() == levy_distance_full(x, y).hex()
+            assert ks_distance(x, y).hex() == ks_distance_searched(x, y).hex()
+            assert w1_distance(x, y).hex() == w1_distance_searched(x, y).hex()
 
 
 def test_cdf_and_mass_at_least():
