@@ -271,10 +271,14 @@ def generate(spec: GenSpec) -> Graph:
 def realize(spec: GenSpec, erase: bool = False,
             restrict_giant: bool = False) -> Graph:
     """Generate, then the optional post-passes: erasure to a simple graph
-    and restriction to the largest component."""
+    and restriction to the largest component. The CSR of the result is
+    sorted here, once."""
     g = generate(spec)
     if erase:
         g, _ = erase_to_simple(g)
     if restrict_giant:
         g, _ = largest_component(g)
+    # sorted now, the keys sit beside the edge array alone: the post-passes'
+    # graphs are gone, and a walk has allocated nothing yet
+    g.out_edges
     return g

@@ -11,7 +11,11 @@ exact.
 The half-edges are also laid out grouped by tail (a CSR layout). Every
 vertex has as many half-edges in as out, and the twins of the half-edges
 leaving a vertex are the half-edges entering it, so this one layout serves
-both row sums and pushes of the walk kernels.
+both row sums and pushes of the walk kernels. Only walks (the kernels and
+the oracle) read it, so it is sorted on first read, not when the graph is
+built: the graphs that `generators.realize` passes through on the way to
+its result never sort one, and `realize` sorts the one of the graph it
+returns.
 
 Only tails are stored: `tails` is `edges` read as one flat array, and the
 head of half-edge e is the tail of its twin, tails[e ^ 1].
@@ -49,9 +53,10 @@ class Graph:
     edges: np.ndarray            # int64 (m, 2), endpoint pairs in input order
     degrees: np.ndarray          # int64, degrees[i] counts half-edges with tail i
     tails: np.ndarray            # int64, tail of each half-edge: edges, flat
-    out_start: np.ndarray        # CSR offsets of half-edges grouped by tail
-    out_edges: np.ndarray        # half-edge ids sorted by (tail, id)
     _degf: np.ndarray | None = field(default=None, repr=False)
+    # (out_start, out_edges), sorted on first read of either
+    _csr: tuple[np.ndarray, np.ndarray] | None = field(default=None,
+                                                       repr=False)
 
     @property
     def num_edges(self) -> int:
@@ -73,6 +78,31 @@ class Graph:
             self._degf = self.degrees.astype(np.float64)
         return self._degf
 
+    @property
+    def out_start(self) -> np.ndarray:
+        """CSR offsets of the half-edges grouped by tail."""
+        return self._tail_csr()[0]
+
+    @property
+    def out_edges(self) -> np.ndarray:
+        """Half-edge ids sorted by (tail, id)."""
+        return self._tail_csr()[1]
+
+    def _tail_csr(self) -> tuple[np.ndarray, np.ndarray]:
+        if self._csr is None:
+            tails = self.tails
+            out_start = np.concatenate(([0], np.cumsum(self.degrees)))
+            # ids grouped by tail, ascending within each: sorting the
+            # distinct keys tail * 2m + id is several times faster than a
+            # stable argsort; the keys are built, sorted and reduced in place
+            m2 = max(tails.size, 1)
+            out_edges = tails * m2
+            out_edges += np.arange(tails.size)
+            out_edges.sort()
+            out_edges %= m2
+            self._csr = out_start, out_edges
+        return self._csr
+
     def out_slice(self, i: int) -> np.ndarray:
         """Half-edge ids leaving vertex i."""
         return self.out_edges[self.out_start[i]:self.out_start[i + 1]]
@@ -86,6 +116,8 @@ def build_graph(n: int, edges) -> Graph:
     2t + 1, so construction is deterministic for a fixed edge order. A
     C-contiguous int64 (m, 2) array is taken over, not copied: the graph's
     `edges` is that array, which the caller must not change afterwards.
+    Building only validates and counts degrees; the tail-grouped CSR is
+    sorted on the first read of `out_start` or `out_edges`.
     """
     if n < 1:
         raise GraphConstructionError(f"vertex count must be >= 1, got {n}")
@@ -107,17 +139,7 @@ def build_graph(n: int, edges) -> Graph:
             f"edge ({int(u)}, {int(v)}) out of range for n={n}")
     tails = edges.reshape(-1)
     degrees = np.bincount(tails, minlength=n).astype(np.int64, copy=False)
-    out_start = np.concatenate(([0], np.cumsum(degrees)))
-    # ids grouped by tail, ascending within each: sorting the distinct keys
-    # tail * 2m + id is several times faster than a stable argsort; the keys
-    # are built, sorted and reduced in place
-    m2 = max(tails.size, 1)
-    out_edges = tails * m2
-    out_edges += np.arange(tails.size)
-    out_edges.sort()
-    out_edges %= m2
-    return Graph(n=n, edges=edges, degrees=degrees, tails=tails,
-                 out_start=out_start, out_edges=out_edges)
+    return Graph(n=n, edges=edges, degrees=degrees, tails=tails)
 
 
 @dataclass

@@ -6,8 +6,9 @@ import pytest
 
 from friendbias import (GenSpec, OffspringLaw, erase_to_simple,
                         gen_configuration_model, gen_erdos_renyi, generate,
-                        mix_seed, sample_degree_sequence)
+                        mix_seed, realize, sample_degree_sequence)
 from friendbias.generators import _distinct_codes
+from eager_csr import assert_same_graph, build_eagerly, count_sorts
 from er_loop import distinct_codes_loop, gen_erdos_renyi_loop
 
 
@@ -223,3 +224,26 @@ def test_stub_shuffle_is_the_permutation_gather(seq):
         if seq:     # a graph needs a vertex; the empty shuffle is checked
             g = gen_configuration_model(seq, seed)
             assert g.edges.reshape(-1).tolist() == want.tolist()
+
+
+# ER at n = 3000 draws by rejection, and lam = 1.5 leaves a giant of about
+# three fifths; the CM has degree-1 vertices, self-loops and parallel edges
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("erase, restrict_giant",
+                         [(False, False), (True, False), (False, True),
+                          (True, True)])
+@pytest.mark.parametrize("spec", [
+    GenSpec(model="erdos_renyi", n=3000, lam=1.5),
+    GenSpec(model="configuration", n=3000, degree_pmf={1: .2, 3: .4, 4: .4})],
+    ids=["er", "cm"])
+def test_realize_sorts_one_csr_equal_to_the_eager_build(
+        spec, erase, restrict_giant, seed, monkeypatch):
+    spec = replace(spec, seed=seed)
+    with monkeypatch.context() as eager:
+        build_eagerly(eager)
+        want = realize(spec, erase=erase, restrict_giant=restrict_giant)
+    sorts = count_sorts(monkeypatch)
+    g = realize(spec, erase=erase, restrict_giant=restrict_giant)
+    assert sorts == [1]
+    assert_same_graph(g, want)
+    assert sorts == [1]

@@ -8,6 +8,7 @@ from friendbias import (analyze_components, build_graph, induced_subgraph,
 from friendbias.graph_core import GraphConstructionError
 
 from component_bfs import bfs_components
+from eager_csr import assert_same_graph, build_eagerly, count_sorts
 
 
 def test_path3_degrees(path3):
@@ -219,6 +220,35 @@ def test_largest_component_and_drop_isolated():
     giant, old = largest_component(tie)
     assert old.tolist() == [0, 2, 4]
     assert giant.edges.tolist() == [[0, 1], [1, 2]]
+
+
+def _tie_giant(tmp_path):
+    return largest_component(
+        build_graph(6, [(1, 3), (3, 5), (0, 2), (2, 4)]))[0]
+
+
+def _loaded_multigraph(tmp_path):
+    # loops at 0 and 4, a parallel pair and a degree-1 vertex, 5
+    path = tmp_path / "g.edges"
+    if not path.exists():
+        save_edge_list(build_graph(6, [(0, 0), (1, 2), (2, 1), (2, 3),
+                                       (3, 4), (4, 4), (4, 5)]), path)
+    return load_edge_list(path)
+
+
+@pytest.mark.parametrize("source", [_tie_giant, _loaded_multigraph],
+                         ids=["tie-giant", "loaded"])
+def test_csr_is_sorted_once_on_first_read_as_the_eager_build(
+        source, monkeypatch, tmp_path):
+    with monkeypatch.context() as eager:
+        build_eagerly(eager)
+        want = source(tmp_path)
+    sorts = count_sorts(monkeypatch)
+    g = source(tmp_path)
+    assert sorts == [0]
+    assert_same_graph(g, want)
+    g.out_slice(0)
+    assert sorts == [1]
 
 
 def test_edgeless_graph_round_trip(tmp_path):
