@@ -20,6 +20,7 @@ import argparse
 import contextlib
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass, field, asdict, replace
 from pathlib import Path
@@ -226,6 +227,12 @@ def schedule_k(cfg: ExperimentConfig, n: int, n_index: int, graph=None) -> int:
 
 # atoms per piece of a streamed atom list; bounds the memory of a measure write
 ATOM_CHUNK = 1 << 12
+# a measure of at least this many atoms is formatted on two processes when
+# two CPUs are free: one fork costs a few ms, formatting about 1 us an atom
+SPLIT_ATOMS = 1 << 16
+# the split forks, writes into a memfd and counts the CPUs this process may
+# run on, as Linux can; elsewhere every measure is formatted in one process
+_CAN_SPLIT = hasattr(os, "memfd_create") and hasattr(os, "sched_getaffinity")
 # stands in for an atom list in the dumped text; no config or meta string
 # holds a NUL
 _ATOMS = "\0atoms\0"
@@ -253,26 +260,92 @@ def _write(path: Path, pieces) -> None:
 
 def _atom_text(m: measures.EmpiricalMeasure, before: str):
     """The atom list of `m.to_dict()` as json.dumps(indent=1) writes it after
-    `before`, which ends with the start of the line of its key, in pieces of
-    ATOM_CHUNK atoms.
+    `before`, which ends with the start of the line of its key, in pieces.
 
-    json writes floats with float.__repr__, as `repr` does. A pooled measure
-    has few distinct weights, so each distinct weight bit pattern in a piece
-    is written once (-0.0 and 0.0 stay apart)."""
+    A measure of SPLIT_ATOMS atoms or more is formatted on two processes
+    when this one may run on more than one CPU (`_forked_span`); the text
+    is the same either way."""
     line = before[before.rfind("\n") + 1:]
     indent = len(line) - len(line.lstrip(" "))
     outer, inner = " " * (indent + 1), " " * (indent + 2)
     within = ",\n" + inner                       # an atom's value, its weight
     between = f"\n{outer}],\n{outer}[\n{inner}"  # one atom, the next
     yield f"[\n{outer}[\n{inner}"
-    for lo in range(0, m.values.size, ATOM_CHUNK):
-        bits, which = np.unique(m.weights[lo:lo + ATOM_CHUNK].view(np.int64),
+    size = m.values.size
+    if (size >= SPLIT_ATOMS and _CAN_SPLIT
+            and len(os.sched_getaffinity(0)) > 1):
+        yield from _forked_span(m, between, within)
+    else:
+        yield from _atom_span(m, 0, size, between, within)
+    yield f"\n{outer}]\n{' ' * indent}]"
+
+
+def _atom_span(m: measures.EmpiricalMeasure, lo: int, hi: int, between: str,
+               within: str):
+    """The text of atoms [lo, hi) of m, `between` before every atom except
+    atom 0, in pieces of ATOM_CHUNK atoms.
+
+    json writes floats with float.__repr__, as `repr` does. A pooled measure
+    has few distinct weights, so each distinct weight bit pattern in a piece
+    is written once (-0.0 and 0.0 stay apart)."""
+    for start in range(lo, hi, ATOM_CHUNK):
+        stop = min(start + ATOM_CHUNK, hi)
+        bits, which = np.unique(m.weights[start:stop].view(np.int64),
                                 return_inverse=True)
         weights = [repr(w) for w in bits.view(np.float64).tolist()]
-        atoms = zip(map(repr, m.values[lo:lo + ATOM_CHUNK].tolist()),
+        atoms = zip(map(repr, m.values[start:stop].tolist()),
                     map(weights.__getitem__, which.tolist()))
-        yield (between if lo else "") + between.join(map(within.join, atoms))
-    yield f"\n{outer}]\n{' ' * indent}]"
+        yield (between if start else "") + between.join(map(within.join, atoms))
+
+
+def _forked_span(m: measures.EmpiricalMeasure, between: str, within: str):
+    """The text of all atoms of m, as `_atom_span` gives it, formatted on two
+    processes: a forked child writes the upper half into an unnamed file
+    while this process yields the lower half, then reaps the child and
+    yields its text. The file has no name, so no run claims it.
+
+    The child leaves through os._exit, whatever happens: it flushes none of
+    the buffers it inherited (the output file's among them) and runs no exit
+    hook. If this process fails, or the generator is closed, while the child
+    runs, it kills the child; either way the child is reaped before the
+    generator goes on or ends, so no process outlives a write. A child that
+    fails raises OSError here, as a failed write does."""
+    import signal
+    size = m.values.size
+    half = size // 2
+    fd = os.memfd_create("atoms")
+    try:
+        pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                with open(fd, "w", encoding="ascii", newline="",
+                          closefd=False) as out:
+                    out.writelines(_atom_span(m, half, size, between, within))
+                code = 0
+            except BaseException:
+                import traceback
+                os.write(2, traceback.format_exc().encode())
+                raise
+            finally:
+                os._exit(code)
+        try:
+            yield from _atom_span(m, 0, half, between, within)
+        except BaseException:
+            os.kill(pid, signal.SIGKILL)
+            raise
+        finally:
+            status = os.waitpid(pid, 0)[1]
+        if status:
+            raise OSError(f"the process formatting atoms {half}..{size} "
+                          f"failed (wait status {status})")
+        # the child moved the offset that this process shares with it
+        os.lseek(fd, 0, os.SEEK_SET)
+        with open(fd, encoding="ascii", newline="", closefd=False) as text:
+            while piece := text.read(1 << 20):
+                yield piece
+    finally:
+        os.close(fd)
 
 
 def _write_json(path: Path, payload) -> None:
@@ -302,7 +375,10 @@ def _write_json(path: Path, payload) -> None:
             yield tail
         yield "\n"
 
-    _write(path, pieces())
+    # closed on the way out, so a write that fails kills and reaps a forked
+    # formatter at once
+    with contextlib.closing(pieces()) as text:
+        _write(path, text)
 
 
 def _cell(value) -> str:

@@ -119,6 +119,11 @@ class _VertexSums:
         return np.take(head, self.position, axis=0)
 
 
+# half-edges per block of an nb `expect` or `observe` level: even, so a block
+# holds whole twin pairs, and its 256 KiB buffer stays in cache
+EDGE_BLOCK = 1 << 15
+
+
 def _pairs(x: np.ndarray) -> np.ndarray:
     """x with axis 0 split into twin pairs: x[e] sits at [e // 2, e % 2]."""
     return x.reshape((-1, 2) + x.shape[1:])
@@ -153,7 +158,8 @@ class WalkOperator:
 
     The nb operator stores only `_fanout`: the twin of half-edge e is
     e ^ 1, so the twin of every state is read off a pair-swapped view
-    (`_twins`), and the head of e is the tail of its twin.
+    (`_twins`), and the head of e is the tail of its twin. nb `expect` and
+    `observe` run over blocks of EDGE_BLOCK half-edges (`_at_heads`).
     """
 
     def __init__(self, g: Graph, kind: str, delta: float = 0.5):
@@ -213,12 +219,8 @@ class WalkOperator:
     def expect(self, y: np.ndarray) -> np.ndarray:
         g = self.g
         if self.kind == "nb":
-            # (t[head(e)] - y[twin(e)]) / fanout[e], in place on one array
-            s = self.observe(np.bincount(g.tails, weights=y, minlength=g.n))
-            pairs = _pairs(s)
-            pairs -= _twins(y)
-            s /= self._fanout
-            return s
+            return self._at_heads(
+                np.bincount(g.tails, weights=y, minlength=g.n), y)
         return self._lazy(y, self._vertex_sums(y) / g.degrees_float)
 
     def to_vertices(self, w: np.ndarray) -> np.ndarray:
@@ -229,8 +231,38 @@ class WalkOperator:
     def observe(self, f: np.ndarray) -> np.ndarray:
         """The state observable f(vertex the state stands on)."""
         if self.kind == "nb":
-            return f[self.g.edges[:, ::-1]].reshape(-1)     # f(head(e))
+            return self._at_heads(f)
         return f
+
+    def _at_heads(self, t: np.ndarray, y: np.ndarray | None = None):
+        """Over the half-edges e, t[head(e)]; given y, the nb level
+        (t[head(e)] - y[twin(e)]) / fanout[e].
+
+        The head of e is the tail of its twin, so t read at the tails of a
+        block holds at each place what the twin of that half-edge needs,
+        and y is subtracted there as it is stored; the two halves of each
+        pair trade places only as the block is written out. Each element
+        sees the same two IEEE operations as on whole arrays, so the bits
+        do not depend on EDGE_BLOCK. Contiguous blocks run numpy's inner
+        loops at full width (over a pair-swapped (N/2, 2) view of a whole
+        level they run two elements at a time), and a block's buffer stays
+        in cache. Every tail indexes t, so `take` may skip its bounds
+        check: with mode="raise" it would also buffer `out`."""
+        tails = self.g.tails
+        s = np.empty(tails.size)
+        buf = np.empty(min(EDGE_BLOCK, tails.size))
+        for lo in range(0, tails.size, EDGE_BLOCK):
+            hi = min(lo + EDGE_BLOCK, tails.size)
+            block = buf[:hi - lo]
+            np.take(t, tails[lo:hi], out=block, mode="clip")
+            if y is None:
+                s[lo:hi:2], s[lo + 1:hi:2] = block[1::2], block[::2]
+                continue
+            block -= y[lo:hi]
+            np.divide(block[1::2], self._fanout[lo:hi:2], out=s[lo:hi:2])
+            np.divide(block[::2], self._fanout[lo + 1:hi:2],
+                      out=s[lo + 1:hi:2])
+        return s
 
     def lifted_mean(self, y: np.ndarray) -> np.ndarray:
         """Per start vertex i, the mean of a state observable under lift(i)."""

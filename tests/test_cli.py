@@ -1,6 +1,8 @@
 import json
 import math
+import os
 import re
+import time
 import tracemalloc
 import weakref
 from dataclasses import replace
@@ -1014,11 +1016,14 @@ def as_dicts(payload):
                                   "mu_star": measures_to_write()},
                                  optional={"config": json_metas,
                                            "levy": st.floats(0.0, 1.0)})),
-       chunk=st.integers(1, 5))
-def test_write_json_matches_json_dumps(tmp_path_factory, payload, chunk):
+       chunk=st.integers(1, 5), split=st.integers(1, 8))
+def test_write_json_matches_json_dumps(tmp_path_factory, payload, chunk,
+                                       split):
+    # a measure of `split` atoms or more is formatted on two processes
     path = tmp_path_factory.mktemp("json") / "payload.json"
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cli, "ATOM_CHUNK", chunk)
+        mp.setattr(cli, "SPLIT_ATOMS", split)
         cli._write_json(path, payload)
     want = json.dumps(as_dicts(payload), sort_keys=True, indent=1) + "\n"
     assert path.read_text() == want
@@ -1038,6 +1043,104 @@ def test_write_json_streams_the_atoms(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2 ** 20
+
+
+def _split_every_measure(mp) -> list:
+    """Format every measure on two processes, whatever the CPUs of the
+    machine; returns the list of the pids forked from here on."""
+    pids = []
+
+    def fork():
+        pid = fork_once()
+        pids.append(pid)
+        return pid
+
+    fork_once = os.fork
+    mp.setattr(cli, "SPLIT_ATOMS", 1)
+    mp.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1})
+    mp.setattr(cli.os, "fork", fork)
+    return pids
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    yield _split_every_measure(monkeypatch)
+    with pytest.raises(ChildProcessError):      # every child was reaped
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _joint_config(tmp_path) -> str:
+    return write_config(tmp_path, "joint.json", experiment="joint",
+                        gen={"model": "configuration", "n": 60,
+                             "degree_pmf": {"3": 0.5, "4": 0.5}},
+                        kind="nb", k="log_n(1)", replicas=2, seed=4,
+                        n_grid=[60, 500], out="out")
+
+
+def test_joint_files_do_not_depend_on_the_split(tmp_path, monkeypatch):
+    cfg = _joint_config(tmp_path)
+    files = []
+    for split in (False, True):
+        with monkeypatch.context() as mp:
+            run = tmp_path / f"split-{split}"
+            run.mkdir()
+            mp.chdir(run)
+            pids = _split_every_measure(mp) if split else []
+            assert main(["joint", "--config", cfg]) == 0
+        files.append(snapshot(run / "out"))
+    assert len(pids) == 2           # one fork per measure file
+    assert sorted(map(str, files[0])) == [
+        "joint.csv", "joint_measure_n500.json", "joint_measure_n60.json"]
+    assert files[1] == files[0]
+
+
+def _halves(monkeypatch, breaks: str | None) -> None:
+    """Make the atom formatting of `breaks`, "child" or "parent", raise. A
+    child that does not break sleeps a minute first, so that only a kill
+    ends it early."""
+    parent, span = os.getpid(), cli._atom_span
+
+    def half(*args):
+        me = "parent" if os.getpid() == parent else "child"
+        if me == breaks:
+            raise ValueError(f"{me} half broke")
+        if me == "child":
+            time.sleep(60)
+        return span(*args)
+
+    monkeypatch.setattr(cli, "_atom_span", half)
+
+
+def test_failed_child_fails_the_run_and_leaves_no_files(tmp_path, monkeypatch,
+                                                        capfd, forks):
+    _halves(monkeypatch, "child")
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(OSError, match="formatting atoms"):
+        main(["joint", "--config", _joint_config(tmp_path)])
+    assert len(forks) == 1
+    assert snapshot(tmp_path / "out") == {}
+    assert "ValueError: child half broke" in capfd.readouterr().err
+
+
+@pytest.mark.parametrize("how", ["parent half raises", "text closed"])
+def test_unfinished_write_kills_and_reaps_the_child(tmp_path, monkeypatch,
+                                                    forks, how):
+    monkeypatch.chdir(tmp_path)
+    start = time.monotonic()
+    if how == "text closed":
+        _halves(monkeypatch, None)
+        text = cli._atom_text(EmpiricalMeasure.from_values(np.arange(10.0)),
+                              '{\n "atoms": ')
+        next(text)
+        next(text)                  # the fork, then the parent's first piece
+        text.close()
+    else:
+        _halves(monkeypatch, "parent")
+        with pytest.raises(ValueError, match="parent half broke"):
+            main(["joint", "--config", _joint_config(tmp_path)])
+        assert snapshot(tmp_path / "out") == {}
+    assert time.monotonic() - start < 30
+    assert len(forks) == 1
 
 
 @pytest.mark.parametrize("experiment, extra", [

@@ -5,10 +5,12 @@ from hypothesis import given, settings, strategies as st
 from friendbias import (DistVector, EmpiricalMeasure, WalkOperator, bias_all,
                         build_graph, validate_for_exploration)
 from friendbias.graph_core import PreconditionError
+from friendbias import kernels
 from friendbias.kernels import _k_step_dist, _VertexSums
 from friendbias.oracle import small_graph_corpus
 
 from conftest import dense_transition
+from nb_level_reference import expect_one_array, observe_one_array
 
 
 def bias_k(g, i, k, kind):
@@ -260,3 +262,29 @@ def test_vertex_sums_match_reduceat_bit_for_bit(seed, degrees, cols):
         for j in range(cols):
             assert np.array_equal(got[:, j].view(np.int64),
                                   reduceat(batch[:, j]))
+
+
+@pytest.mark.parametrize("block", [2, 6, "over 2m"])
+def test_nb_level_blocks_match_the_one_array_level_bit_for_bit(monkeypatch,
+                                                               block):
+    # an unerased CM multigraph: self-loops and parallel edges are kept
+    g = _cm_graph(7, 301)
+    pairs = np.sort(g.edges, axis=1)
+    assert (pairs[:, 0] == pairs[:, 1]).any()
+    assert np.unique(pairs, axis=0).shape[0] < g.num_edges
+    assert g.num_half_edges % 6     # a last block shorter than the others
+    if block == "over 2m":
+        block = g.num_half_edges + 2
+    monkeypatch.setattr(kernels, "EDGE_BLOCK", block)
+    op = WalkOperator(g, "nb")
+    degf = g.degrees_float
+    assert np.array_equal(op._fanout.view(np.int64),
+                          (observe_one_array(op, degf) - 1.0).view(np.int64))
+    rng = np.random.default_rng(block)
+    f = rng.standard_normal(g.n) * 10.0 ** rng.integers(-12, 13, g.n)
+    assert np.array_equal(op.observe(f).view(np.int64),
+                          observe_one_array(op, f).view(np.int64))
+    y = want = observe_one_array(op, degf)
+    for _ in range(8):
+        y, want = op.expect(y), expect_one_array(op, want)
+        assert np.array_equal(y.view(np.int64), want.view(np.int64))

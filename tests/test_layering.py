@@ -276,3 +276,85 @@ def test_no_reduction_in_src_runs_on_blas():
     found = {name: blas_uses((PACKAGE / f"{name}.py").read_text())
              for name in sorted(MODULES)}
     assert {name: uses for name, uses in found.items() if uses} == {}
+
+
+def _is_os_call(node, name: str) -> bool:
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == name
+            and isinstance(node.func.value, ast.Name)
+            and node.func.value.id == "os")
+
+
+def _ends_in_exit(stmt) -> bool:
+    """Whether `stmt`, the last of a branch, ends the process through
+    os._exit whatever the statements before it do."""
+    if isinstance(stmt, ast.Try):
+        return bool(stmt.finalbody) and _ends_in_exit(stmt.finalbody[-1])
+    return isinstance(stmt, ast.Expr) and _is_os_call(stmt.value, "_exit")
+
+
+def _is_child_test(test, pid: str) -> bool:
+    """`pid == 0` or `not pid`."""
+    if isinstance(test, ast.UnaryOp) and isinstance(test.op, ast.Not):
+        return isinstance(test.operand, ast.Name) and test.operand.id == pid
+    return (isinstance(test, ast.Compare) and isinstance(test.left, ast.Name)
+            and test.left.id == pid and len(test.ops) == 1
+            and isinstance(test.ops[0], ast.Eq)
+            and isinstance(test.comparators[0], ast.Constant)
+            and test.comparators[0].value == 0)
+
+
+def fork_uses(source: str) -> list:
+    """(line, ok) for every use of os.fork in `source`, in line order: ok
+    when it is `pid = os.fork()` and every branch under `pid == 0` or `not
+    pid` in the same function ends in os._exit, of which there is one at
+    least. Any other use (`from os import fork`, `f = os.fork`, a fork whose
+    result is not named) cannot be followed, so it is not ok."""
+    found = []
+    for scope in ast.walk(ast.parse(source)):
+        if not isinstance(scope, (ast.Module, ast.FunctionDef)):
+            continue
+        nested = {id(n) for sub in ast.walk(scope) if sub is not scope
+                  and isinstance(sub, ast.FunctionDef) for n in ast.walk(sub)}
+        nodes = [n for n in ast.walk(scope) if id(n) not in nested]
+        for node in nodes:
+            if isinstance(node, ast.ImportFrom) and node.module == "os":
+                found += [(node.lineno, False) for a in node.names
+                          if a.name == "fork"]
+            if not (isinstance(node, ast.Attribute) and node.attr == "fork"):
+                continue
+            pid = next((a.targets[0].id for a in nodes
+                        if isinstance(a, ast.Assign)
+                        and getattr(a.value, "func", None) is node
+                        and isinstance(a.targets[0], ast.Name)), None)
+            branches = [n.body[-1] for n in nodes if isinstance(n, ast.If)
+                        and pid and _is_child_test(n.test, pid)]
+            found.append((node.lineno, bool(branches)
+                          and all(map(_ends_in_exit, branches))))
+    return sorted(found)
+
+
+def test_fork_reader_follows_the_child_branch():
+    source = ("import os\nfrom os import fork\n"
+              "def good():\n    pid = os.fork()\n    if pid == 0:\n"
+              "        try:\n            work()\n        finally:\n"
+              "            os._exit(1)\n    return pid\n"
+              "def bare():\n    pid = os.fork()\n    if not pid:\n"
+              "        os._exit(0)\n"
+              "def returns():\n    pid = os.fork()\n    if pid == 0:\n"
+              "        work()\n"
+              "def unnamed():\n    os.fork()\n"
+              "def unchecked():\n    pid = os.fork()\n    return pid\n"
+              "def late():\n    pid = os.fork()\n    if pid == 0:\n"
+              "        try:\n            os._exit(0)\n        except OSError:\n"
+              "            pass\n")
+    assert fork_uses(source) == [(2, False), (4, True), (12, True),
+                                 (16, False), (20, False), (22, False),
+                                 (25, False)]
+
+
+def test_only_the_writer_forks_and_every_child_leaves_by_os_exit():
+    found = {name: fork_uses((PACKAGE / f"{name}.py").read_text())
+             for name in sorted(MODULES)}
+    assert {name for name, uses in found.items() if uses} == {"cli"}
+    assert all(ok for _, ok in found["cli"]), found["cli"]

@@ -15,9 +15,10 @@ repeats to the byte. Measured at n = 50000, seed 1:
   per half-edge for the giant of Erdos-Renyi at lam = 4 (199 546
   half-edges) and at 43.4 B for the erased giant of the configuration
   model with degree law {1: .2, 3: .4, 4: .4} (149 130 half-edges);
-* nb `bias_all` at k = ceil(ln n), the graph included, peaks at 49.6 B
+* nb `bias_all` at k = ceil(ln n), the graph included, peaks at 50.7 B
   per half-edge, in its `expect` levels: the graph, `_fanout`, the level
-  it reads and the level it writes.
+  it reads and the level it writes, and the 256 KiB block buffer of the
+  level (1.1 B per half-edge at this size).
 
 Each bound is the measured value plus about 4 B per half-edge of slack,
 half of what one more int64 or float64 array over the half-edges costs, so
