@@ -67,6 +67,8 @@ class GenSpec:
     def __post_init__(self):
         if self.model not in ("erdos_renyi", "configuration"):
             raise ValueError(f"unknown model {self.model!r}")
+        if self.n < 1:
+            raise ValueError(f"n must be >= 1, got {self.n}")
         if self.model == "erdos_renyi":
             # bool is a numbers.Real, and would be written back as true
             if (isinstance(self.lam, bool)

@@ -121,13 +121,11 @@ def truncated_poisson(lam: float) -> OffspringLaw:
     return OffspringLaw(ks=np.arange(k + 1), ps=ps)
 
 
-def exact_mu(p: OffspringLaw, meta=None) -> measures.EmpiricalMeasure:
+def exact_mu(p: OffspringLaw) -> measures.EmpiricalMeasure:
     """The limit law mu exactly: atoms E[D^2]/E[D] - k with weight p_k."""
-    ratio = p.moment_ratio
-    info = {"law": "mu", "pmf": p.to_dict(), "exact": True}
-    info.update(meta or {})
     return measures.EmpiricalMeasure.from_values(
-        ratio - p.ks.astype(np.float64), p.ps / p.ps.sum(), meta=info)
+        p.moment_ratio - p.ks.astype(np.float64), p.ps / p.ps.sum(),
+        meta={"law": "mu", "pmf": p.to_dict(), "exact": True})
 
 
 def sample_mu(p: OffspringLaw, n_samples: int, seed: int) -> measures.EmpiricalMeasure:

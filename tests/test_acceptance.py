@@ -3,30 +3,35 @@
 Each test runs one acceptance criterion at its stated tolerance and prints a
 single PASS/FAIL line (run pytest with -s to see them as they happen). The
 random corpora are fully seeded, so the suite is deterministic.
+
+AC-5, AC-6 and AC-7 check the paper's three claims on the runs that publish
+them: each runs its file in configs/ through the CLI, with only --out
+changed, and reads the files the run writes.
 """
 
+import csv
 import itertools
 import json
 import math
+import os
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from friendbias import (GenSpec, bias_all, build_graph,
-                        erase_to_simple, gen_configuration_model,
-                        gen_erdos_renyi, largest_component, mix_seed, realize,
-                        sample_degree_sequence, truncated_poisson,
+from friendbias import (GenSpec, bias_all, build_graph, erase_to_simple,
+                        mix_seed, realize, truncated_poisson,
                         validate_for_exploration)
 from friendbias.cli import main
 from friendbias.kernels import _k_step_dist
-from friendbias.measures import EmpiricalMeasure, levy_distance
+from friendbias.measures import levy_distance
 from friendbias.oracle import (oracle_avg_bias_exact, oracle_k_step,
                                small_graph_corpus)
 from friendbias.stationary import (mixing_time, pi_vertex,
                                    stationarity_residual, stationary_bias)
-from friendbias.tree_limits import OffspringLaw, exact_mu, sample_mu, sample_mu_star
+from friendbias.tree_limits import OffspringLaw, exact_mu, sample_mu
 
 from component_bfs import bfs_components
 from tree_enum_oracle import mu_mean_enumerated, mu_star_mean_enumerated
@@ -53,10 +58,9 @@ def _er_giants(count, n, lam, master):
 def _cm_erased(count, n, pmf, master, min_degree=2):
     out, i = [], 0
     while len(out) < count:
-        seed = mix_seed(master, i)
+        g = realize(GenSpec(model="configuration", n=n, degree_pmf=pmf,
+                            seed=mix_seed(master, i)), erase=True)
         i += 1
-        seq = sample_degree_sequence(pmf, n, mix_seed(seed, 0))
-        g, _ = erase_to_simple(gen_configuration_model(seq, mix_seed(seed, 1)))
         info = bfs_components(g)
         if (len(info.sizes) == 1 and not info.is_bipartite[0]
                 and int(g.degrees.min()) >= min_degree):
@@ -82,9 +86,8 @@ def test_ac01_nonnegativity():
     pmfs = ({2: 1 / 3, 3: 1 / 3, 4: 1 / 3}, {3: 0.5, 4: 0.5})
     for i in range(250):
         n = 50 + (11 * i) % 151
-        seed = mix_seed(202, i)
-        seq = sample_degree_sequence(pmfs[i % 2], n, mix_seed(seed, 0))
-        g = gen_configuration_model(seq, mix_seed(seed, 1))
+        g = realize(GenSpec(model="configuration", n=n, degree_pmf=pmfs[i % 2],
+                            seed=mix_seed(202, i)))
         graphs += 1
         for k in range(1, 6):
             worst = min(worst, bias_all(g, k, "nb").meta["mean_bias"])
@@ -217,91 +220,84 @@ def test_ac04_stationarity_and_long_level():
 
 
 AC5_LIMIT = exact_mu(OffspringLaw.from_dict({3: 0.5, 4: 0.5}))
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
-def _pooled_cm_bias(n, replicas, k_fn, kind, master, erase=False):
-    mus = []
-    k_n = None
-    for r in range(replicas):
-        seed = mix_seed(mix_seed(master, n), r)
-        seq = sample_degree_sequence({3: 0.5, 4: 0.5}, n, mix_seed(seed, 0))
-        g = gen_configuration_model(seq, mix_seed(seed, 1))
-        if erase:
-            g, _ = erase_to_simple(g)
-        if k_n is None:
-            k_n = k_fn(g)
-        mus.append(bias_all(g, k_n, kind))
-    return EmpiricalMeasure.mixture(mus), k_n
+def _run_config(name, tmp_path):
+    """Run configs/<name>.json through the CLI into tmp_path, the file as it
+    is but for --out, and return the output directory once every process
+    the run forked has been reaped."""
+    path = CONFIGS / f"{name}.json"
+    out = tmp_path / name
+    experiment = json.loads(path.read_text())["experiment"]
+    assert main([experiment, "--config", str(path), "--out", str(out)]) == 0
+    with pytest.raises(ChildProcessError):      # no child is left
+        os.waitpid(-1, os.WNOHANG)
+    return out
 
 
-def test_ac05_joint_regime_before_mixing():
-    """CM with degrees {3, 4}, nb exploration, k_n = ceil(log n): the pooled
-    level-k_n bias law approaches the exact two-atom limit, decreasing in n
-    and within 0.05 at n = 32000."""
+def _joint_rows(out):
+    """The rows of joint.csv, below its '# config:' line."""
+    lines = (out / "joint.csv").read_text().splitlines()
+    return list(csv.DictReader(lines[1:]))
+
+
+def test_ac05_joint_regime_before_mixing(tmp_path):
+    """configs/joint-nb-log.json: CM with degrees {3, 4}, nb exploration,
+    k_n = ceil(log n), 20 replicas: the pooled level-k_n bias law approaches
+    the exact two-atom limit, decreasing in n and within 0.05 at n = 32000."""
     t0 = time.time()
     # the limit law has atoms 25/7 - 3 and 25/7 - 4 with equal masses
     assert np.allclose(AC5_LIMIT.values, [25 / 7 - 4, 25 / 7 - 3])
     assert np.allclose(AC5_LIMIT.weights, [0.5, 0.5])
-    dists = []
-    for n in (2000, 8000, 32000):
-        pooled, k_n = _pooled_cm_bias(
-            n, replicas=20, k_fn=lambda g: math.ceil(math.log(g.n)),
-            kind="nb", master=505)
-        dists.append(levy_distance(pooled, AC5_LIMIT))
+    rows = _joint_rows(_run_config("joint-nb-log", tmp_path))
+    ns = [int(r["n"]) for r in rows]
+    k_ns = [int(r["k_n"]) for r in rows]
+    dists = [float(r["levy"]) for r in rows]
     elapsed = time.time() - t0
-    ok = all(a > b for a, b in zip(dists, dists[1:])) and dists[-1] <= 0.05 \
-        and elapsed < 600
+    ok = (ns[-1] == 32000 and k_ns == [math.ceil(math.log(n)) for n in ns]
+          and all(a > b for a, b in zip(dists, dists[1:]))
+          and dists[-1] <= 0.05 and elapsed < 600)
     _report("AC-5", ok,
             "levy by n: " + ", ".join(f"{d:.4f}" for d in dists)
-            + f", {elapsed:.1f}s")
+            + " at k_n " + ", ".join(map(str, k_ns)) + f", {elapsed:.1f}s")
 
 
-def test_ac06_post_mixing_regime():
-    """Same CM family, bt exploration, k_n = 10x the 1e-4 mixing crossing:
-    Levy distance to the exact limit <= 0.05 at n = 32000."""
+def test_ac06_post_mixing_regime(tmp_path):
+    """configs/joint-bt-mix10.json: the same CM family, erased, bt
+    exploration, k_n = 10x the 1e-4 mixing crossing: Levy distance to the
+    exact limit <= 0.05 at n = 32000."""
     t0 = time.time()
-    crossing_holder = {}
-
-    def k_fn(g):
-        crossing = mixing_time(g, "bt", 1e-4, 300, starts_cap=48)
-        assert crossing is not None
-        crossing_holder["k"] = crossing
-        return 10 * crossing
-
-    pooled, k_n = _pooled_cm_bias(32000, replicas=3, k_fn=k_fn, kind="bt",
-                                  master=606, erase=True)
-    dist = levy_distance(pooled, AC5_LIMIT)
-    _report("AC-6", dist <= 0.05,
-            f"crossing {crossing_holder['k']}, k_n {k_n}, levy {dist:.4f}, "
+    [row] = _joint_rows(_run_config("joint-bt-mix10", tmp_path))
+    k_n, dist = int(row["k_n"]), float(row["levy"])
+    _report("AC-6", row["n"] == "32000" and dist <= 0.05,
+            f"crossing {k_n // 10}, k_n {k_n}, levy {dist:.4f}, "
             f"{time.time() - t0:.1f}s")
 
 
-def test_ac07_mu_differs_from_mu_star():
-    """p = {1: 3/4, 2: 1/4}: Monte Carlo means of the two limit laws differ
-    by > 5 combined standard errors, and each matches an independent
-    enumeration oracle over trees of <= 12 vertices."""
+def test_ac07_mu_differs_from_mu_star(tmp_path):
+    """configs/noncommute.json, p = {1: 3/4, 2: 1/4}: Monte Carlo means of
+    the two limit laws differ by > 5 combined standard errors, and each
+    matches an independent enumeration oracle over trees of <= 12
+    vertices."""
     t0 = time.time()
-    p = OffspringLaw.from_dict({1: 0.75, 2: 0.25})
-    n = 100_000
-    mu = sample_mu(p, n, seed=mix_seed(707, 0))
-    mu_star = sample_mu_star(p, n, seed=mix_seed(707, 1))
-
-    def se(m):
-        return math.sqrt(max(m.moment(2) - m.mean() ** 2, 0.0) / n)
-
-    se_mu, se_star = se(mu), se(mu_star)
-    gap = abs(mu.mean() - mu_star.mean())
+    report = json.loads((_run_config("noncommute", tmp_path)
+                         / "noncommute_report.json").read_text())
+    assert report["config"]["pmf"] == {"1": 0.75, "2": 0.25}
+    mean_mu, se_mu = report["mean_mu"], report["se_mu"]
+    mean_star, se_star = report["mean_mu_star"], report["se_mu_star"]
+    gap = abs(mean_mu - mean_star)
     sep_ok = gap > 5 * math.sqrt(se_mu ** 2 + se_star ** 2)
 
     enum_mu = mu_mean_enumerated({1: 0.75, 2: 0.25})
     enum_star, mass = mu_star_mean_enumerated({1: 0.75, 2: 0.25}, 12)
     # degrees in these trees never exceed 3, so |bias| <= 3 bounds the tail
     tail_bound = (1.0 - mass) * 3.0
-    mu_ok = abs(mu.mean() - enum_mu) <= 3 * se_mu
-    star_ok = abs(mu_star.mean() - enum_star) <= 3 * se_star + tail_bound
+    mu_ok = abs(mean_mu - enum_mu) <= 3 * se_mu
+    star_ok = abs(mean_star - enum_star) <= 3 * se_star + tail_bound
     _report("AC-7", sep_ok and mu_ok and star_ok,
-            f"mean(mu) {mu.mean():.4f} vs enum {enum_mu:.4f}, "
-            f"mean(mu*) {mu_star.mean():.4f} vs enum {enum_star:.4f} "
+            f"mean(mu) {mean_mu:.4f} vs enum {enum_mu:.4f}, "
+            f"mean(mu*) {mean_star:.4f} vs enum {enum_star:.4f} "
             f"(tail mass {1 - mass:.1e}), gap {gap:.4f} "
             f"= {gap / math.sqrt(se_mu ** 2 + se_star ** 2):.0f} SE, "
             f"{time.time() - t0:.1f}s")
@@ -337,12 +333,10 @@ def test_ac09_level1_kind_independence():
     accepted = 0
     i = 0
     while accepted < 100:
-        seed = mix_seed(909, i)
-        n = 20 + (13 * i) % 81
+        g = realize(GenSpec(model="configuration", n=20 + (13 * i) % 81,
+                            degree_pmf={2: 0.4, 3: 0.3, 4: 0.3},
+                            seed=mix_seed(909, i)))
         i += 1
-        seq = sample_degree_sequence({2: 0.4, 3: 0.3, 4: 0.3}, n,
-                                     mix_seed(seed, 0))
-        g = gen_configuration_model(seq, mix_seed(seed, 1))
         if not (validate_for_exploration(g, "nb").ok
                 and validate_for_exploration(g, "bt").ok):
             continue

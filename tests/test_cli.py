@@ -624,7 +624,7 @@ def test_over_budget_mixing_batch_exits_4(tmp_path, capsys, experiment, extra,
 _CM34 = {"model": "configuration", "degree_pmf": {"3": 0.5, "4": 0.5}}
 
 
-@pytest.mark.parametrize("experiment, config, line", [
+@pytest.mark.parametrize("argv, config, line", [
     ("limit-mu", {"pmf": {"0": 1.0}},
      "moment ratio E[D^2]/E[D] undefined: offspring mean is zero"),
     ("joint", {"gen": {"model": "configuration", "n": 40,
@@ -635,23 +635,28 @@ _CM34 = {"model": "configuration", "degree_pmf": {"3": 0.5, "4": 0.5}}
      "erdos_renyi needs 0 < lam < n, got lam=4.0, n=3"),
     ("generate", {"gen": {"model": "erdos_renyi", "n": 1, "lam": 0.5}},
      "erdos_renyi needs n >= 2, got 1"),
-    ("generate", {"gen": dict(_CM34, n=0)}, "vertex count must be >= 1, got 0"),
+    # n is checked in GenSpec, so the message names the key
+    ("generate", {"gen": dict(_CM34, n=0)},
+     "bad gen spec: n must be >= 1, got 0"),
     ("generate", {"gen": dict(_CM34, n=-1)},
-     "negative dimensions are not allowed"),
+     "bad gen spec: n must be >= 1, got -1"),
+    ("bias --n -3", {"gen": dict(_CM34, n=40), "kind": "bt", "k": 1},
+     "bad gen spec: n must be >= 1, got -3"),
     ("mixing", {"gen": {"model": "erdos_renyi", "n": 6000, "lam": 8},
                 "kind": "lazy", "restrict_giant": True},
      "5997 start states exceeds the exact limit 4096; pass starts_cap for a "
      "subsampled profile"),
 ], ids=["limit-mu-zero-mean", "joint-zero-mean", "sweep-er-lam-over-n",
         "generate-er-n1", "generate-cm-n0", "generate-cm-negative-n",
-        "mixing-over-exact-limit"])
+        "bias-negative-n-flag", "mixing-over-exact-limit"])
 def test_library_refusals_of_config_values_exit_2(tmp_path, capsys,
-                                                  experiment, config, line):
+                                                  argv, config, line):
     # the library refuses these values with a ValueError; main names them as
     # config errors without a catch-all over every ValueError
+    experiment, *flags = argv.split()
     cfg = write_config(tmp_path, "cfg.json", experiment=experiment,
                        out=str(tmp_path / "out"), **config)
-    assert main([experiment, "--config", cfg]) == 2
+    assert main([experiment, "--config", cfg, *flags]) == 2
     assert capsys.readouterr().err == f"config error: {line}\n"
     assert not (tmp_path / "out").exists()
 

@@ -3,14 +3,15 @@ ExperimentConfig and runs through the CLI at a tiny size, with every key
 but the sizes as written."""
 
 import json
+import re
 from pathlib import Path
 
 import pytest
 
 from friendbias.cli import ExperimentConfig, main
 
-CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs")
-                 .glob("*.json"))
+ROOT = Path(__file__).resolve().parents[1]
+CONFIGS = sorted((ROOT / "configs").glob("*.json"))
 # files that name no kind and are run once per kind, as the README says
 KINDS = {"mixing-cm200": ("bt", "lazy", "nb")}
 
@@ -57,3 +58,14 @@ def test_config_runs_at_a_tiny_size(tmp_path, path, kind):
     assert main(argv) == 0
     for name in _outputs(data):
         assert (tmp_path / "out" / name).is_file(), name
+
+
+def test_readme_paper_runs_table_is_configs():
+    text = (ROOT / "README.md").read_text()
+    rows = re.search(r"\| Command \| Claim it checks \| Acceptance check \|\n"
+                     r"\|[-|]+\|\n((?:\|.*\|\n)+)", text)[1]
+    named = []
+    for row in rows.splitlines():
+        command = row.strip("|").split("|")[0]
+        named += re.findall(r"--config (configs/[\w.-]+\.json)", command)
+    assert sorted(named) == [f"configs/{path.name}" for path in CONFIGS]
