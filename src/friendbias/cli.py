@@ -168,6 +168,8 @@ class ExperimentConfig:
             pmf = {}
             for k, v in d["pmf"].items():
                 try:
+                    if isinstance(v, (str, bool)):
+                        raise TypeError("not a JSON number")
                     pmf[int(k)] = float(v)
                 except (TypeError, ValueError, OverflowError) as exc:
                     raise ConfigError(

@@ -114,6 +114,8 @@ class GenSpec:
         pmf = d.get("degree_pmf")
         if pmf is not None:
             try:
+                if any(isinstance(v, (str, bool)) for v in pmf.values()):
+                    raise TypeError("probabilities must be JSON numbers")
                 pmf = {int(k): float(v) for k, v in pmf.items()}
             except (AttributeError, TypeError, ValueError) as exc:
                 raise ValueError(f"degree_pmf needs integer degrees and numeric "

@@ -122,38 +122,29 @@ def _pick_starts(n_states: int, starts_cap) -> np.ndarray:
                                           int(starts_cap))).astype(np.int64))
 
 
-def _worst_tv(W: np.ndarray, pi: np.ndarray, pairwise: bool) -> float:
+def _worst_tv(W: np.ndarray, pi: np.ndarray) -> float:
     """The largest TV distance between a column of the (states, starts)
     batch W and pi.
 
-    Each column's sum keeps the float order the reference outputs depend
-    on: pairwise over a contiguous row of states for vertex laws (bt,
-    lazy and the nb projection), states added one by one for the nb edge
-    chain. So the pairwise case first writes W - pi as a C-ordered
-    (starts, states) array, in place of a transposed copy.
+    Every column is summed pairwise over a contiguous row of states, for
+    every kind, so W - pi is written as a C-ordered (starts, states) array
+    in place of a transposed copy.
     """
-    if pairwise:
-        d = np.empty(W.shape[::-1])
-        np.subtract(W.T, pi, out=d)
-        np.abs(d, out=d)
-        return 0.5 * float(d.sum(axis=1).max())
-    return 0.5 * float(np.abs(W - pi[:, None]).sum(axis=0).max())
+    d = np.empty(W.shape[::-1])
+    np.subtract(W.T, pi, out=d)
+    np.abs(d, out=d)
+    return 0.5 * float(d.sum(axis=1).max())
 
 
 def _column_blocks(starts: np.ndarray, states: int) -> list[np.ndarray]:
     """Split the start states into consecutive column blocks of about
-    BLOCK_BYTES each, and of at least two columns.
+    BLOCK_BYTES each, or of one column where a column alone is larger.
 
-    No block is one column wide unless the whole batch is: numpy sums a
-    contiguous (states, 1) array pairwise down axis 0, not state by state
-    as `_worst_tv` needs for the nb edge chain. So a one-column remainder
-    joins the block before it.
+    `_worst_tv` sums each column in the same order at any block width, so
+    every split gives the same bits.
     """
-    width = max(2, BLOCK_BYTES // (8 * states))
-    cuts = list(range(width, starts.size, width))
-    if cuts and starts.size - cuts[-1] == 1:
-        cuts.pop()
-    return np.split(starts, cuts)
+    width = max(1, BLOCK_BYTES // (8 * states))
+    return np.split(starts, range(width, starts.size, width))
 
 
 def _step_blocks(blocks: list, step, tv) -> float:
@@ -203,14 +194,13 @@ def _tv_levels(op: WalkOperator, k_max: int, starts_cap, vertex_curve: bool):
                 v[:, col] = op.lift(int(s))
             V.append(v)
         pi_v = pi_vertex(g).weights
-    pairwise = op.kind != "nb"
     for k in range(1, k_max + 1):
-        d = _step_blocks(W, op.push, lambda w: _worst_tv(w, pi, pairwise))
+        d = _step_blocks(W, op.push, lambda w: _worst_tv(w, pi))
         d_vertex = None
         if V:
             d_vertex = _step_blocks(
                 V, op.push if k > 1 else (lambda v: v),
-                lambda v: _worst_tv(op.to_vertices(v), pi_v, pairwise=True))
+                lambda v: _worst_tv(op.to_vertices(v), pi_v))
         yield k, d, d_vertex
 
 

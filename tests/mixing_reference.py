@@ -3,8 +3,8 @@
 Test oracle for `stationary._tv_levels`, which holds its batches as
 (states, starts) and must return the same floats bit for bit. The walk
 steps below act on the last axis of a (starts, states) batch and read the
-operator's own `_VertexSums` layout; the TV sums keep whatever float order
-that row-major layout gives them.
+operator's own `_VertexSums` layout; each TV sum runs pairwise over a
+C-contiguous row of states.
 """
 
 import numpy as np
@@ -48,7 +48,7 @@ def to_vertices_rows(op: WalkOperator, w: np.ndarray) -> np.ndarray:
 
 
 def _worst_tv(W: np.ndarray, pi: np.ndarray) -> float:
-    return 0.5 * float(np.abs(W - pi).sum(axis=1).max())
+    return 0.5 * float(np.abs(np.ascontiguousarray(W) - pi).sum(axis=1).max())
 
 
 def tv_levels_rows(op: WalkOperator, k_max: int, starts_cap, vertex_curve: bool):

@@ -180,6 +180,9 @@ def test_bad_pmf_entry_exits_2(tmp_path, capsys, experiment, extra):
     ([0.5, 0.5], "expected an object of degree: probability entries"),
     # float() overflows on it, which exited 1 with a traceback
     ({"3": 10 ** 400}, "entry '3': 1000"),
+    # float() read these, so they ran as {1: 1.0}
+    ({"1": True, "2": "0"}, "entry '1': True needs an integer degree"),
+    ({"1": 1.0, "2": "0"}, "entry '2': '0' needs an integer degree"),
 ])
 def test_unparsable_pmf_exits_2(tmp_path, capsys, pmf, cause):
     cfg = write_config(tmp_path, "cfg.json", experiment="limit-mu", pmf=pmf,
@@ -216,10 +219,18 @@ def test_unparsable_pmf_exits_2(tmp_path, capsys, pmf, cause):
      "erdos_renyi requires lam > 0, got True"),
     ({"model": "erdos_renyi", "n": 40, "lam": 2.0, "sed": 5},
      "unknown keys ['sed']"),
+    # float() read these, and the string went into every output's header
+    ({"model": "configuration", "n": 40,
+      "degree_pmf": {"3": "0.5", "4": 0.5}},
+     "degree_pmf needs integer degrees and numeric probabilities"),
+    ({"model": "configuration", "n": 40,
+      "degree_pmf": {"3": True, "4": False}},
+     "degree_pmf needs integer degrees and numeric probabilities"),
 ], ids=["degree_pmf", "lam", "n", "not_an_object", "n_null", "seed_null",
         "degree_seq_not_a_list", "degree_seq_fractional_even_sum",
         "degree_seq_fractional_odd_sum", "lam_nan", "lam_inf",
-        "lam_huge_int", "lam_bool", "unknown_key"])
+        "lam_huge_int", "lam_bool", "unknown_key", "degree_pmf_string",
+        "degree_pmf_bool"])
 def test_malformed_gen_spec_exits_2(tmp_path, capsys, gen, cause):
     cfg = write_config(tmp_path, "cfg.json", experiment="bias", gen=gen,
                        kind="bt", k=2, out=str(tmp_path / "out"))

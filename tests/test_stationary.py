@@ -234,18 +234,17 @@ def test_mixing_levels_match_row_major_reference_bit_for_bit(g, kind, cap,
 
 
 @pytest.mark.parametrize("width, sizes", [
-    (2, [2] * 7 + [3]),         # a one-column remainder joins the last block
+    (1, [1] * 17),
+    (2, [2] * 8 + [1]),
     (3, [3] * 5 + [2]),
-    (8, [8, 9]),
+    (8, [8, 8, 1]),
     (None, [17]),               # the default budget: one whole-batch block
-], ids=["width-2", "width-3", "width-8", "whole-batch"])
+], ids=["width-1", "width-2", "width-3", "width-8", "whole-batch"])
 @pytest.mark.parametrize("kind", ["bt", "lazy", "nb"])
 def test_mixing_blocks_match_row_major_reference_bit_for_bit(monkeypatch, kind,
                                                              width, sizes):
-    """Any split of the batch into column blocks gives the row-major
-    reference levels bit for bit. On this nb chain a split that left the
-    last start alone in a block would sum it pairwise and change D_k at
-    27 of the 30 levels."""
+    """Any split of the batch into column blocks, one-column blocks
+    included, gives the row-major reference levels bit for bit."""
     from friendbias import GenSpec, realize
     g = realize(GenSpec(model="configuration", n=300,
                         degree_pmf={"2": 0.3, "3": 0.4, "4": 0.3}, seed=48),
@@ -263,12 +262,32 @@ def test_mixing_blocks_match_row_major_reference_bit_for_bit(monkeypatch, kind,
     _assert_levels_match_reference(g, kind, cap)
 
 
-def test_column_blocks_never_leave_one_column_alone(monkeypatch):
+def test_nb_mixing_distances_are_within_16_ulps_of_exact_sums():
+    """Each D_k of the nb edge chain lies within 16 ulps of half the
+    largest correctly rounded sum (math.fsum) of the same |w - pi| terms.
+    Summed state by state, as before, it was up to 126 ulps off here."""
+    import math
+    from friendbias import GenSpec, WalkOperator, realize
+    g = realize(GenSpec(model="configuration", n=300,
+                        degree_pmf={"2": 0.3, "3": 0.4, "4": 0.3}, seed=41))
+    op = WalkOperator(g, "nb", 0.5)
+    assert op.states == 908
+    prof = mixing_profile(g, "nb", 30)
+    W = np.eye(op.states)
+    pi = np.full(op.states, 1.0 / op.states)
+    for D in prof.D_values:
+        W = op.push(W)
+        terms = np.abs(W - pi[:, None]).T
+        exact = 0.5 * max(math.fsum(row) for row in terms)
+        assert abs(D - exact) <= 16 * np.spacing(exact)
+
+
+def test_column_blocks_partition_the_starts_in_order(monkeypatch):
     monkeypatch.setattr(stationary, "BLOCK_BYTES", 8 * 100 * 4)
-    assert [b.size for b in _column_blocks(np.arange(9), 100)] == [4, 5]
+    assert [b.size for b in _column_blocks(np.arange(9), 100)] == [4, 4, 1]
     assert [b.size for b in _column_blocks(np.arange(10), 100)] == [4, 4, 2]
-    # a budget under two columns still takes two at a time
-    assert [b.size for b in _column_blocks(np.arange(5), 10 ** 6)] == [2, 3]
+    # a budget under one column still takes one at a time
+    assert [b.size for b in _column_blocks(np.arange(5), 10 ** 6)] == [1] * 5
     assert [b.size for b in _column_blocks(np.arange(1), 10 ** 6)] == [1]
     blocks = _column_blocks(np.arange(7, 30), 100)
     assert np.concatenate(blocks).tolist() == list(range(7, 30))
