@@ -28,10 +28,12 @@ from pathlib import Path
 import numpy as np
 
 from . import generators, kernels, measures, oracle, stationary, tree_limits
-from .graph_core import (Graph, PreconditionError, load_edge_list,
-                         save_edge_list, validate_for_exploration)
+from .graph_core import (EXPLORATION_KINDS, Graph, PreconditionError,
+                         load_edge_list, save_edge_list,
+                         validate_for_exploration)
 from .kernels import SizeGuardError
 from .measures import NonFiniteMeasureError
+from .tree_limits import is_count
 
 EXPERIMENTS = ("generate", "bias", "stationary", "mixing", "limit-mu",
                "limit-mu-star", "sweep", "joint", "noncommute", "oracle-check")
@@ -54,10 +56,6 @@ def _refusal(prefix: str = ""):
         raise
     except (OSError, ValueError) as exc:
         raise ConfigError(prefix + str(exc)) from exc
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _is_finite_number(value) -> bool:
@@ -94,7 +92,10 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.experiment not in EXPERIMENTS:
             raise ConfigError(f"unknown experiment {self.experiment!r}")
-        if self.kind not in ("bt", "nb", "lazy"):
+        if self.pmf is not None:
+            with _refusal("bad pmf: "):
+                self.pmf = tree_limits.read_pmf(self.pmf)
+        if self.kind not in EXPLORATION_KINDS:
             raise ConfigError(f"unknown exploration kind {self.kind!r}")
         if not _is_finite_number(self.delta):
             raise ConfigError(f"delta must be a finite number, got "
@@ -108,14 +109,14 @@ class ExperimentConfig:
             value = getattr(self, key)
             if value is None and key == "starts_cap":
                 continue
-            if not _is_int(value):
+            if not is_count(value):
                 raise ConfigError(f"{key} must be an integer, got {value!r}")
             least = 0 if key == "seed" else 1
             if value < least and key != "window_N":
                 raise ConfigError(f"{key} must be >= {least}")
         if self.n_grid is not None and not (
                 isinstance(self.n_grid, list)
-                and all(_is_int(n) and n >= 1 for n in self.n_grid)):
+                and all(is_count(n) and n >= 1 for n in self.n_grid)):
             raise ConfigError(f"n_grid must be null or a list of integers "
                               f">= 1, got {self.n_grid!r}")
         if not (isinstance(self.eps_list, list)
@@ -146,7 +147,7 @@ class ExperimentConfig:
                                   f"gen; graph_file does not apply")
         if isinstance(self.k, str):
             parse_schedule(self.k)  # fail fast on malformed schedules
-        elif not all(_is_int(level) and level >= 0 for level in
+        elif not all(is_count(level) and level >= 0 for level in
                      (self.k if isinstance(self.k, list) else [self.k])):
             raise ConfigError(f"k must be an integer >= 0, a list of them or "
                               f"a schedule, got {self.k!r}")
@@ -159,23 +160,6 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
-        d = dict(d)
-        if d.get("pmf") is not None:
-            if not isinstance(d["pmf"], dict):
-                raise ConfigError(
-                    f"bad pmf: expected an object of degree: probability "
-                    f"entries, got {d['pmf']!r}")
-            pmf = {}
-            for k, v in d["pmf"].items():
-                try:
-                    if isinstance(v, (str, bool)):
-                        raise TypeError("not a JSON number")
-                    pmf[int(k)] = float(v)
-                except (TypeError, ValueError, OverflowError) as exc:
-                    raise ConfigError(
-                        f"bad pmf: entry {k!r}: {v!r} needs an integer "
-                        f"degree and a numeric probability") from exc
-            d["pmf"] = pmf
         known = {f for f in cls.__dataclass_fields__}
         unknown = set(d) - known
         if unknown:
@@ -529,7 +513,7 @@ def run_stationary(cfg: ExperimentConfig) -> int:
     ratio = float((degf * degf).sum() / degf.sum())
     diag["stationary_weighted_mean_bias"] = float(
         (pi.weights * (ratio - degf)).sum())
-    for kind in ("bt", "lazy", "nb"):
+    for kind in EXPLORATION_KINDS:
         try:
             diag[f"residual_{kind}"] = stationary.stationarity_residual(
                 g, kind, delta=cfg.delta)
@@ -740,7 +724,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="JSON experiment config")
         sp.add_argument("--n", type=int, default=None)
         sp.add_argument("--k", type=_parse_k_flag, default=None)
-        sp.add_argument("--kind", choices=("bt", "nb", "lazy"), default=None)
+        sp.add_argument("--kind", choices=EXPLORATION_KINDS, default=None)
         sp.add_argument("--delta", type=float, default=None)
         sp.add_argument("--seed", type=int, default=None)
         sp.add_argument("--replicas", type=int, default=None)
@@ -774,12 +758,23 @@ FLAGS = {
 }
 
 
+def _unique_names(pairs) -> dict:
+    """A JSON object as a dict, refused if it names a key twice: `json`
+    would keep the last value and say nothing."""
+    obj = {}
+    for name, value in pairs:
+        if name in obj:
+            raise ValueError(f"name {name!r} appears twice in one object")
+        obj[name] = value
+    return obj
+
+
 def _load_config(args) -> ExperimentConfig:
     data: dict = {}
     if args.config is not None:
         with (_refusal(f"cannot read config {args.config}: "),
               open(args.config) as fh):
-            data = json.load(fh)
+            data = json.load(fh, object_pairs_hook=_unique_names)
     if not isinstance(data, dict):
         raise ConfigError(f"config {args.config} must be a JSON object")
     named = data.setdefault("experiment", args.experiment)

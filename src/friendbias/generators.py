@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph_core import Graph, build_graph, largest_component, sorted_unique
-from .tree_limits import OffspringLaw
+from .tree_limits import OffspringLaw, is_count, is_degree, read_pmf
 
 RNG_ALGORITHM = "numpy-pcg64"
 SEED_MIX_ALGORITHM = "splitmix64-v1"
@@ -49,10 +49,6 @@ def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed))
 
 
-def _is_count(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
 @dataclass
 class GenSpec:
     """Serializable description of one random-graph model instance."""
@@ -69,6 +65,11 @@ class GenSpec:
             raise ValueError(f"unknown model {self.model!r}")
         if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
+        if self.degree_pmf is not None:
+            try:
+                self.degree_pmf = read_pmf(self.degree_pmf)
+            except ValueError as exc:
+                raise ValueError(f"degree_pmf: {exc}") from exc
         if self.model == "erdos_renyi":
             # bool is a numbers.Real, and would be written back as true
             if (isinstance(self.lam, bool)
@@ -111,30 +112,21 @@ class GenSpec:
         unknown = sorted(set(d) - set(cls.__dataclass_fields__))
         if unknown:
             raise ValueError(f"unknown keys {unknown}")
-        pmf = d.get("degree_pmf")
-        if pmf is not None:
-            try:
-                if any(isinstance(v, (str, bool)) for v in pmf.values()):
-                    raise TypeError("probabilities must be JSON numbers")
-                pmf = {int(k): float(v) for k, v in pmf.items()}
-            except (AttributeError, TypeError, ValueError) as exc:
-                raise ValueError(f"degree_pmf needs integer degrees and numeric "
-                                 f"probabilities, got {pmf!r}") from exc
         for key in ("n", "seed"):
-            if not _is_count(d.get(key, 0)):
+            if not is_count(d.get(key, 0)):
                 raise ValueError(f"{key} must be an integer, got {d[key]!r}")
         seq = d.get("degree_seq")
         if seq is not None:
             if not isinstance(seq, list):
                 raise ValueError(f"degree_seq must be a list of degrees, "
                                  f"got {seq!r}")
-            bad = next((i for i, x in enumerate(seq)
-                        if not (_is_count(x) and x >= 0)), None)
+            bad = next((i for i, x in enumerate(seq) if not is_degree(x)),
+                       None)
             if bad is not None:
                 raise ValueError(f"degree_seq entry {bad}: {seq[bad]!r} is "
-                                 f"not a non-negative integer")
+                                 f"not a non-negative integer below 2**63")
         return cls(model=d["model"], n=int(d["n"]), lam=d.get("lam"),
-                   degree_pmf=pmf, degree_seq=seq,
+                   degree_pmf=d.get("degree_pmf"), degree_seq=seq,
                    seed=int(d.get("seed", 0)))
 
 

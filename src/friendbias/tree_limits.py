@@ -25,12 +25,66 @@ on one tree are test references in `tests/gw_reference.py`;
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from . import measures
+
+
+def is_count(value) -> bool:
+    """An integer, not a bool: JSON's true and false are not counts."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def is_degree(value) -> bool:
+    """A count that an int64 degree array holds: 0 <= value < 2**63."""
+    return is_count(value) and 0 <= value < 2 ** 63
+
+
+def _degree(key):
+    """key as an int, when it is one or the decimal string `str` writes for
+    one ("3", not "03", " 3" or "3_0"); otherwise None."""
+    if isinstance(key, str):
+        try:
+            degree = int(key)
+        except ValueError:
+            return None
+        return degree if str(degree) == key else None
+    return int(key) if is_count(key) else None
+
+
+def read_pmf(pmf) -> dict:
+    """A degree law written as {degree: probability}, read as {int: float}
+    with every entry kept, zeros included, in the order written.
+
+    A degree is an int or its decimal string (`_degree`), so no two keys
+    name one degree, and it passes `is_degree`. A probability is a real
+    number, not a bool or a string, that `float` takes without overflow;
+    their signs and sum are `OffspringLaw`'s to check. Every refusal is a
+    ValueError naming the entry."""
+    if not isinstance(pmf, dict):
+        raise ValueError(f"expected an object of degree: probability entries, "
+                         f"got {pmf!r}")
+    law = {}
+    for key, p in pmf.items():
+        degree = _degree(key)
+        try:
+            if (degree is None or isinstance(p, bool)
+                    or not isinstance(p, numbers.Real)):
+                raise TypeError
+            p = float(p)
+        except (TypeError, OverflowError):
+            raise ValueError(f"entry {key!r}: {p!r} needs an integer degree "
+                             f"and a numeric probability") from None
+        if not is_degree(degree):
+            raise ValueError(f"entry {key!r}: degree outside [0, 2**63)")
+        if degree in law:
+            raise ValueError(f"entry {key!r}: degree {degree} is named twice")
+        law[degree] = p
+    return law
 
 
 @dataclass
@@ -53,11 +107,11 @@ class OffspringLaw:
             raise ValueError(f"pmf entries must be finite and nonnegative, "
                              f"got {self.ps.tolist()}")
         if abs(float(self.ps.sum()) - 1.0) > 1e-9:
-            raise ValueError(f"pmf sums to {self.ps.sum()!r}, not 1")
+            raise ValueError(f"pmf sums to {float(self.ps.sum())}, not 1")
 
     @classmethod
     def from_dict(cls, pmf: dict) -> "OffspringLaw":
-        items = sorted((int(k), float(v)) for k, v in pmf.items())
+        items = sorted(read_pmf(pmf).items())
         ks = np.array([k for k, v in items if v != 0], dtype=np.int64)
         ps = np.array([v for _, v in items if v != 0])
         return cls(ks=ks, ps=ps)

@@ -183,6 +183,17 @@ def test_bad_pmf_entry_exits_2(tmp_path, capsys, experiment, extra):
     # float() read these, so they ran as {1: 1.0}
     ({"1": True, "2": "0"}, "entry '1': True needs an integer degree"),
     ({"1": 1.0, "2": "0"}, "entry '2': '0' needs an integer degree"),
+    # int() read these keys: "3_0" ran as degree 30, "03" overwrote "3"
+    # and " 3" merged into it
+    ({"3": 0.5, "3_0": 0.5}, "entry '3_0': 0.5 needs an integer degree"),
+    ({"3": 0.5, "03": 0.5, "4": 0.5},
+     "entry '03': 0.5 needs an integer degree"),
+    ({"3": 0.5, " 3": 0.5}, "entry ' 3': 0.5 needs an integer degree"),
+    # no int64 holds it: exited 4 from the numeric guard
+    ({"100000000000000000000000": 1.0},
+     "entry '100000000000000000000000': degree outside [0, 2**63)"),
+    # the sum was printed as np.float64(0.5)
+    ({"3": 0.5, "4": 0.0}, "pmf sums to 0.5, not 1"),
 ])
 def test_unparsable_pmf_exits_2(tmp_path, capsys, pmf, cause):
     cfg = write_config(tmp_path, "cfg.json", experiment="limit-mu", pmf=pmf,
@@ -194,7 +205,8 @@ def test_unparsable_pmf_exits_2(tmp_path, capsys, pmf, cause):
 
 @pytest.mark.parametrize("gen, cause", [
     ({"model": "configuration", "n": 40, "degree_pmf": {"3": None}},
-     "degree_pmf needs integer degrees and numeric probabilities"),
+     "degree_pmf: entry '3': None needs an integer degree and a numeric "
+     "probability"),
     ({"model": "erdos_renyi", "n": 40, "lam": "abc"},
      "erdos_renyi requires lam > 0, got 'abc'"),
     ({"model": "erdos_renyi", "lam": 2.0}, "missing keys ['n']"),
@@ -222,15 +234,32 @@ def test_unparsable_pmf_exits_2(tmp_path, capsys, pmf, cause):
     # float() read these, and the string went into every output's header
     ({"model": "configuration", "n": 40,
       "degree_pmf": {"3": "0.5", "4": 0.5}},
-     "degree_pmf needs integer degrees and numeric probabilities"),
+     "degree_pmf: entry '3': '0.5' needs an integer degree"),
     ({"model": "configuration", "n": 40,
       "degree_pmf": {"3": True, "4": False}},
-     "degree_pmf needs integer degrees and numeric probabilities"),
+     "degree_pmf: entry '3': True needs an integer degree"),
+    # the graph was drawn from {3: .5, 4: .5}, while every output's config
+    # line held all three entries
+    ({"model": "configuration", "n": 40,
+      "degree_pmf": {"3": 0.5, "03": 0.5, "4": 0.5}},
+     "degree_pmf: entry '03': 0.5 needs an integer degree"),
+    # these three exited 4 from the numeric guard
+    ({"model": "configuration", "n": 40,
+      "degree_pmf": {"100000000000000000000000": 1.0}},
+     "degree_pmf: entry '100000000000000000000000': degree outside "
+     "[0, 2**63)"),
+    ({"model": "configuration", "n": 40, "degree_pmf": {"3": 10 ** 400}},
+     "degree_pmf: entry '3': 1000"),
+    ({"model": "configuration", "n": 2, "degree_seq": [10 ** 20, 10 ** 20]},
+     "degree_seq entry 0: 100000000000000000000 is not a non-negative "
+     "integer below 2**63"),
 ], ids=["degree_pmf", "lam", "n", "not_an_object", "n_null", "seed_null",
         "degree_seq_not_a_list", "degree_seq_fractional_even_sum",
         "degree_seq_fractional_odd_sum", "lam_nan", "lam_inf",
         "lam_huge_int", "lam_bool", "unknown_key", "degree_pmf_string",
-        "degree_pmf_bool"])
+        "degree_pmf_bool", "degree_pmf_leading_zero",
+        "degree_pmf_huge_degree", "degree_pmf_huge_int",
+        "degree_seq_huge_int"])
 def test_malformed_gen_spec_exits_2(tmp_path, capsys, gen, cause):
     cfg = write_config(tmp_path, "cfg.json", experiment="bias", gen=gen,
                        kind="bt", k=2, out=str(tmp_path / "out"))
@@ -702,6 +731,22 @@ def test_bug_exits_with_its_traceback_and_leaves_no_files(tmp_path,
     assert snapshot(tmp_path / "out") == {}
 
 
+@pytest.mark.parametrize("text, name", [
+    ('{"seed": 1, "seed": 2, "n_samples": 100, "pmf": {"3": 0.5, "4": 0.5}',
+     "seed"),
+    ('{"seed": 1, "n_samples": 100, "pmf": {"3": 0.5, "4": 0.2, "4": 0.5}',
+     "4"),
+], ids=["top_level", "nested"])
+def test_config_naming_a_key_twice_exits_2(tmp_path, capsys, text, name):
+    # json keeps the last value: these ran seed 2 and {3: .5, 4: .5}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text + f', "out": {json.dumps(str(tmp_path / "out"))}}}')
+    assert main(["limit-mu", "--config", str(cfg)]) == 2
+    assert (f"name {name!r} appears twice in one object"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "out").exists()
+
+
 def test_oracle_mismatch_exits_4(monkeypatch, capsys):
     def mismatch(g, k, kind):
         raise ArithmeticError("definitional and symmetrised averages disagree")
@@ -924,11 +969,6 @@ def test_sweep_empty_window_exits_2(tmp_path):
                            window_N=window_N, out=str(tmp_path / "out"))
         assert main(["sweep", "--config", cfg]) == 2
         assert not (tmp_path / "out" / "psi.json").exists()
-
-
-def test_oracle_check_passes(capsys):
-    assert main(["oracle-check"]) == 0
-    assert "PASS" in capsys.readouterr().out
 
 
 def test_flag_overrides(tmp_path):

@@ -150,8 +150,12 @@ def test_degree_sequence_frequencies():
 
 def test_pmf_validation():
     # NaN, inf and tiny negative entries are refused, not dropped
+    # int() read "3_0" as 30 and let "03" overwrite "3"; no int64 holds
+    # 10**23, and float() overflows on 10**400
     for pmf in ({3: 0.7, 4: 0.7}, {-1: 1.0}, {3: 1.0, 4: float("nan")},
-                {3: 1.0, 4: float("inf")}, {3: 1.0, 4: -1e-12}):
+                {3: 1.0, 4: float("inf")}, {3: 1.0, 4: -1e-12},
+                {"3": 0.5, "3_0": 0.5}, {"3": 0.5, "03": 0.5, "4": 0.5},
+                {"3": 0.5, " 3": 0.5}, {10 ** 23: 1.0}, {3: 10 ** 400}):
         with pytest.raises(ValueError):
             sample_degree_sequence(pmf, 10, 0)
         with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 from unittest import mock
 
 import numpy as np
@@ -86,6 +87,22 @@ def test_pmf_validation():
         OffspringLaw(ks=np.array([1, 2]), ps=np.array([0.6, 0.6]))
     with pytest.raises(ValueError):
         OffspringLaw(ks=np.array([-1]), ps=np.array([1.0]))
+
+
+def test_read_pmf_keeps_every_entry_and_names_each_refusal():
+    read = tree_limits.read_pmf({"4": 0.5, "0": 0, 3: 0.5})
+    assert list(read.items()) == [(4, 0.5), (0, 0.0), (3, 0.5)]
+    assert all(type(p) is float for p in read.values())
+    assert tree_limits.read_pmf(read) == read
+    for pmf, cause in [
+            ({3: 0.5, "3": 0.5}, "entry '3': degree 3 is named twice"),
+            ({True: 1.0}, "entry True: 1.0 needs an integer degree"),
+            ({3.0: 1.0}, "entry 3.0: 1.0 needs an integer degree"),
+            ({"-0": 1.0}, "entry '-0': 1.0 needs an integer degree"),
+            ({"-1": 1.0}, "entry '-1': degree outside [0, 2**63)"),
+            ({2 ** 63: 1.0}, "degree outside [0, 2**63)")]:
+        with pytest.raises(ValueError, match=re.escape(cause)):
+            tree_limits.read_pmf(pmf)
 
 
 def test_truncated_poisson_metadata():
