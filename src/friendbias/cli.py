@@ -114,6 +114,9 @@ class ExperimentConfig:
             least = 0 if key == "seed" else 1
             if value < least and key != "window_N":
                 raise ConfigError(f"{key} must be >= {least}")
+        if self.seed >> 64:
+            # mix_seed reads the master seed mod 2**64
+            raise ConfigError(f"seed must be below 2**64, got {self.seed}")
         if self.n_grid is not None and not (
                 isinstance(self.n_grid, list)
                 and all(is_count(n) and n >= 1 for n in self.n_grid)):
@@ -432,18 +435,9 @@ def _replica_graphs(cfg: ExperimentConfig, seed: int, n: int | None = None):
         raise ConfigError("replicas > 1 requires a generated family, not a "
                           "graph file")
     for r in range(cfg.replicas):
-        yield _check_kind(cfg, _graph(cfg, generators.mix_seed(seed, r), n),
-                          "" if cfg.graph_file else f"replica {r}: ")
-
-
-def _check_kind(cfg: ExperimentConfig, g: Graph, where: str = "") -> Graph:
-    """g, once it is valid for cfg.kind."""
-    report = validate_for_exploration(g, cfg.kind)
-    if not report.ok:
-        raise PreconditionError(
-            f"{where}graph invalid for {cfg.kind!r} exploration: "
-            f"{report.message} (vertices {report.violations[:10]})")
-    return g
+        yield validate_for_exploration(
+            _graph(cfg, generators.mix_seed(seed, r), n), cfg.kind,
+            "" if cfg.graph_file else f"replica {r}: ")
 
 
 def _fixed_k(cfg: ExperimentConfig) -> int:
@@ -470,7 +464,6 @@ def run_generate(cfg: ExperimentConfig) -> int:
 def run_bias(cfg: ExperimentConfig) -> int:
     k = _fixed_k(cfg)
     mus = []
-    to_limit = None
     # no enumerate: its reused result tuple would hold the last graph while
     # the next one is realised
     for g in _replica_graphs(cfg, cfg.seed):
@@ -479,10 +472,10 @@ def run_bias(cfg: ExperimentConfig) -> int:
                                     meta={"replica": r, "seed": cfg.seed}))
         if r == 0:
             # distance of the quenched measure to its stationary limit, in the
-            # configured metric (levy by default), when the limit is defined
-            with contextlib.suppress(PreconditionError):
-                limit = stationary.stationary_bias(g, scope=cfg.scope)
-                to_limit = measures.DISTANCES[cfg.distance](mus[0], limit)
+            # configured metric (levy by default); every kind refuses an
+            # isolated vertex, so the limit is defined
+            limit = stationary.stationary_bias(g, scope=cfg.scope)
+            to_limit = measures.DISTANCES[cfg.distance](mus[0], limit)
         del g   # before the next replica is realised
     out = Path(cfg.out)
     _write_measure(out / "bias_measure.json", mus[0], cfg)
@@ -527,7 +520,6 @@ def run_stationary(cfg: ExperimentConfig) -> int:
 
 def run_mixing(cfg: ExperimentConfig) -> int:
     g = _graph(cfg, generators.mix_seed(cfg.seed, 0))
-    _check_kind(cfg, g)
     with _refusal():
         profile = stationary.mixing_profile(g, cfg.kind, cfg.k_max,
                                             eps_list=cfg.eps_list, delta=cfg.delta,
@@ -592,8 +584,8 @@ def run_sweep(cfg: ExperimentConfig) -> int:
     rows = []
     worst = 0.0
     for idx, n in enumerate(cfg.n_grid):
-        g = _graph(cfg, generators.mix_seed(cfg.seed, idx), n)
-        _check_kind(cfg, g)
+        g = validate_for_exploration(
+            _graph(cfg, generators.mix_seed(cfg.seed, idx), n), cfg.kind)
         limit = stationary.stationary_bias(g, scope=cfg.scope)
         for k, deltas in kernels.bias_profile(g, cfg.k_max, cfg.kind,
                                               delta=cfg.delta):
@@ -680,7 +672,9 @@ def run_oracle_check(cfg: ExperimentConfig) -> int:
     checks = 0
     for name, g in oracle.small_graph_corpus().items():
         for kind in ("bt", "nb"):
-            if not validate_for_exploration(g, kind).ok:
+            try:
+                validate_for_exploration(g, kind)
+            except PreconditionError:
                 continue
             for k in range(0, 6):
                 for i in range(g.n):

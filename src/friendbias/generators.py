@@ -16,12 +16,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph_core import Graph, build_graph, largest_component, sorted_unique
+from .kernels import SizeGuardError
 from .tree_limits import OffspringLaw, is_count, is_degree, read_pmf
 
 RNG_ALGORITHM = "numpy-pcg64"
 SEED_MIX_ALGORITHM = "splitmix64-v1"
 
 _MASK64 = (1 << 64) - 1
+# most stubs a configuration model pairs, so that every half-edge id fits an
+# int32
+MAX_HALF_EDGES = 2 ** 31 - 1
 
 
 def mix_seed(master: int, index: int) -> int:
@@ -61,6 +65,21 @@ class GenSpec:
     seed: int = 0
 
     def __post_init__(self):
+        for key in ("n", "seed"):
+            value = getattr(self, key)
+            if not is_count(value):
+                raise ValueError(f"{key} must be an integer, got {value!r}")
+            setattr(self, key, int(value))
+        seq = self.degree_seq
+        if seq is not None:
+            if not isinstance(seq, list):
+                raise ValueError(f"degree_seq must be a list of degrees, "
+                                 f"got {seq!r}")
+            bad = next((i for i, x in enumerate(seq) if not is_degree(x)),
+                       None)
+            if bad is not None:
+                raise ValueError(f"degree_seq entry {bad}: {seq[bad]!r} is "
+                                 f"not a non-negative integer below 2**63")
         if self.model not in ("erdos_renyi", "configuration"):
             raise ValueError(f"unknown model {self.model!r}")
         if self.n < 1:
@@ -112,22 +131,9 @@ class GenSpec:
         unknown = sorted(set(d) - set(cls.__dataclass_fields__))
         if unknown:
             raise ValueError(f"unknown keys {unknown}")
-        for key in ("n", "seed"):
-            if not is_count(d.get(key, 0)):
-                raise ValueError(f"{key} must be an integer, got {d[key]!r}")
-        seq = d.get("degree_seq")
-        if seq is not None:
-            if not isinstance(seq, list):
-                raise ValueError(f"degree_seq must be a list of degrees, "
-                                 f"got {seq!r}")
-            bad = next((i for i, x in enumerate(seq) if not is_degree(x)),
-                       None)
-            if bad is not None:
-                raise ValueError(f"degree_seq entry {bad}: {seq[bad]!r} is "
-                                 f"not a non-negative integer below 2**63")
-        return cls(model=d["model"], n=int(d["n"]), lam=d.get("lam"),
-                   degree_pmf=d.get("degree_pmf"), degree_seq=seq,
-                   seed=int(d.get("seed", 0)))
+        return cls(model=d["model"], n=d["n"], lam=d.get("lam"),
+                   degree_pmf=d.get("degree_pmf"),
+                   degree_seq=d.get("degree_seq"), seed=d.get("seed", 0))
 
 
 def gen_metadata(spec: GenSpec) -> dict:
@@ -214,11 +220,19 @@ def gen_configuration_model(degree_seq, seed: int) -> Graph:
 
     The stubs are shuffled in place. Generator.permutation(k) is
     shuffle(arange(k)), so this is the pairing of
-    stubs[rng.permutation(stubs.size)], bit for bit, without its copy."""
+    stubs[rng.permutation(stubs.size)], bit for bit, without its copy.
+    More than MAX_HALF_EDGES stubs are refused before any is allocated."""
     seq = np.asarray(degree_seq, dtype=np.int64)
     if np.any(seq < 0):
         raise ValueError("degrees must be nonnegative")
     total = int(seq.sum())
+    if seq.size and int(seq.max()) > MAX_HALF_EDGES:
+        # the int64 sum may have wrapped; the sums of the high and the low
+        # 31 bits cannot
+        total = (int((seq >> 31).sum()) << 31) + int((seq & (2**31 - 1)).sum())
+    if total > MAX_HALF_EDGES:
+        raise SizeGuardError(f"degree sum {total} is more half-edges than "
+                             f"the {MAX_HALF_EDGES} a graph may have")
     if total % 2:
         raise ValueError(f"degree sum {total} is odd")
     stubs = np.repeat(np.arange(seq.size, dtype=np.int64), seq)

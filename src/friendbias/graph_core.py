@@ -186,17 +186,10 @@ def analyze_components(g: Graph) -> ComponentInfo:
 EXPLORATION_KINDS = ("bt", "nb", "lazy")
 
 
-@dataclass
-class ValidationReport:
-    """Outcome of checking a graph against a walk kind's structural needs."""
-
-    ok: bool
-    violations: list[int]
-    message: str
-
-
-def validate_for_exploration(g: Graph, kind: str) -> ValidationReport:
-    """Report whether `g` supports the requested exploration.
+def validate_for_exploration(g: Graph, kind: str, where: str = "") -> Graph:
+    """g, when it can carry the exploration `kind`; otherwise a
+    PreconditionError, after `where`, that names what is missing and the
+    first ten vertices at fault.
 
     Non-backtracking walks need minimum degree 2. Backtracking and lazy
     walks need a graph without self-loops and without isolated vertices.
@@ -205,20 +198,19 @@ def validate_for_exploration(g: Graph, kind: str) -> ValidationReport:
         raise ValueError(f"unknown exploration kind {kind!r}")
     if kind == "nb":
         viol = np.flatnonzero(g.degrees < 2)
-        ok = viol.size == 0
-        msg = "ok" if ok else f"{viol.size} vertices of degree < 2"
-        return ValidationReport(ok=ok, violations=viol.tolist(), message=msg)
-    loops = np.unique(g.edges[g.edges[:, 0] == g.edges[:, 1], 0])
-    isolated = np.flatnonzero(g.degrees == 0)
-    viol = np.union1d(loops, isolated)
-    ok = viol.size == 0
-    parts = []
-    if loops.size:
-        parts.append(f"{loops.size} vertices with self-loops")
-    if isolated.size:
-        parts.append(f"{isolated.size} isolated vertices")
-    msg = "ok" if ok else ", ".join(parts)
-    return ValidationReport(ok=ok, violations=viol.tolist(), message=msg)
+        parts = [f"{viol.size} vertices of degree < 2"]
+    else:
+        loops = np.unique(g.edges[g.edges[:, 0] == g.edges[:, 1], 0])
+        isolated = np.flatnonzero(g.degrees == 0)
+        viol = np.union1d(loops, isolated)
+        parts = [f"{loops.size} vertices with self-loops"] if loops.size else []
+        if isolated.size:
+            parts.append(f"{isolated.size} isolated vertices")
+    if viol.size:
+        raise PreconditionError(
+            f"{where}graph invalid for {kind!r} exploration: "
+            f"{', '.join(parts)} (vertices {viol[:10].tolist()})")
+    return g
 
 
 def save_edge_list(g: Graph, path) -> None:

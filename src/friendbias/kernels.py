@@ -26,7 +26,7 @@ from functools import cached_property
 import numpy as np
 
 from . import measures
-from .graph_core import Graph, PreconditionError, validate_for_exploration
+from .graph_core import Graph, validate_for_exploration
 
 
 @dataclass
@@ -165,10 +165,7 @@ class WalkOperator:
     def __init__(self, g: Graph, kind: str, delta: float = 0.5):
         if kind == "lazy" and not (0.0 < delta < 1.0):
             raise ValueError(f"laziness must lie in (0, 1), got {delta}")
-        report = validate_for_exploration(g, kind)
-        if not report.ok:
-            raise PreconditionError(
-                f"graph not valid for {kind!r} exploration: {report.message}")
+        validate_for_exploration(g, kind)
         self.g, self.kind, self.delta = g, kind, delta
         if kind == "nb":
             self.states, self.support, self.lift_steps = g.num_half_edges, "edges", 1

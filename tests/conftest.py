@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from friendbias import build_graph
+from friendbias import (PreconditionError, build_graph,
+                        validate_for_exploration)
 
 
 @pytest.fixture
@@ -47,3 +48,12 @@ def dense_transition(g):
     A = np.zeros((g.n, g.n))
     np.add.at(A, (g.tails, g.heads), 1.0)
     return A / A.sum(axis=1, keepdims=True)
+
+
+def carries(g, kind) -> bool:
+    """Whether g can carry the exploration `kind`; filters random graphs."""
+    try:
+        validate_for_exploration(g, kind)
+    except PreconditionError:
+        return False
+    return True

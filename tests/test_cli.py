@@ -308,6 +308,21 @@ def test_bias_invalid_kind_exits_3(tmp_path, capsys):
     assert "degree" in err     # message names the violated precondition
 
 
+@pytest.mark.parametrize("experiment, extra", [("bias", {"k": 2}),
+                                               ("mixing", {})])
+def test_walk_refusal_reads_the_same_on_every_path(tmp_path, capsys,
+                                                   experiment, extra):
+    # bias refuses in its replica loop, mixing in its walk operator
+    save_edge_list(build_graph(3, [(0, 1), (1, 2)]), tmp_path / "p3.edges")
+    cfg = write_config(tmp_path, "cfg.json", experiment=experiment,
+                       graph_file=str(tmp_path / "p3.edges"), kind="nb",
+                       out=str(tmp_path / "out"), **extra)
+    assert main([experiment, "--config", cfg]) == 3
+    assert capsys.readouterr().err == (
+        "precondition violation: graph invalid for 'nb' exploration: "
+        "2 vertices of degree < 2 (vertices [0, 2])\n")
+
+
 def test_config_for_another_experiment_exits_2(tmp_path, capsys):
     cfg = write_config(tmp_path, "nc.json", experiment="noncommute",
                        pmf={"1": 0.75, "2": 0.25}, n_samples=100,
@@ -549,6 +564,8 @@ def test_zero_mean_offspring_law_exits_2(tmp_path, capsys, experiment, extra):
     # PCG64 refuses a negative seed, and a non-integer one failed with a
     # traceback
     ("seed", -1), ("seed", 1.5), ("seed", "7"),
+    # mix_seed reads a seed mod 2**64: 2**64 + 5 ran as 5
+    ("seed", 2 ** 64),
     # an integer graph_file was opened as a file descriptor, and an integer
     # out failed with a traceback
     ("graph_file", 5), ("out", 5),
@@ -658,6 +675,29 @@ def test_over_budget_mixing_batch_exits_4(tmp_path, capsys, experiment, extra,
         r"numeric guard: mixing batch of (\d+) starts x (\d+) states needs "
         r"(\d+) bytes", err).groups())
     assert rows == starts and size == rows * states * 8 > MAX_DENSE_BYTES
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("gen, total", [
+    ({"model": "configuration", "n": 2, "degree_seq": [2 ** 40, 2 ** 40]},
+     str(2 ** 41)),
+    ({"model": "configuration", "n": 1000,
+      "degree_pmf": {"3": 0.5, "1099511627776": 0.5}}, r"\d+"),
+], ids=["degree_seq", "degree_pmf"])
+def test_impossible_stub_count_exits_4(tmp_path, capsys, monkeypatch, gen,
+                                       total):
+    # the stubs' np.repeat failed for 16 TiB and 3.77 PiB, and the run exited
+    # 1 with a traceback; the stand-in fails the test if it is reached
+    def no_repeat(*args, **kwargs):
+        raise AssertionError("stubs allocated")
+
+    monkeypatch.setattr(np, "repeat", no_repeat)
+    cfg = write_config(tmp_path, "cfg.json", experiment="bias", gen=gen,
+                       kind="nb", k=2, out=str(tmp_path / "out"))
+    assert main(["bias", "--config", cfg]) == 4
+    assert re.fullmatch(rf"numeric guard: degree sum {total} is more "
+                        rf"half-edges than the 2147483647 a graph may have\n",
+                        capsys.readouterr().err)
     assert not (tmp_path / "out").exists()
 
 

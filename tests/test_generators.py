@@ -1,4 +1,5 @@
 import itertools
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -7,7 +8,8 @@ import pytest
 from friendbias import (GenSpec, OffspringLaw, erase_to_simple,
                         gen_configuration_model, gen_erdos_renyi, generate,
                         mix_seed, realize, sample_degree_sequence)
-from friendbias.generators import _distinct_codes
+from friendbias.generators import MAX_HALF_EDGES, _distinct_codes
+from friendbias.kernels import SizeGuardError
 from eager_csr import assert_same_graph, build_eagerly, count_sorts
 from er_loop import distinct_codes_loop, gen_erdos_renyi_loop
 
@@ -162,6 +164,42 @@ def test_pmf_validation():
             GenSpec(model="configuration", n=10, degree_pmf=pmf)
         with pytest.raises(ValueError):
             OffspringLaw.from_dict(pmf)
+
+
+def test_genspec_checks_python_built_and_replaced_specs():
+    # only from_dict checked these: the first failed as "degree sum 5 is
+    # odd", n=100.5 failed in numpy, and the bools ran as degrees
+    for kwargs, cause in [
+        (dict(model="configuration", n=4, degree_seq=[1.5, 1.5, 2, 1]),
+         "degree_seq entry 0: 1.5 is not a non-negative integer below 2**63"),
+        (dict(model="erdos_renyi", n=100.5, lam=2.0),
+         "n must be an integer, got 100.5"),
+        (dict(model="configuration", n=4, degree_seq=[True, True, 1, 1]),
+         "degree_seq entry 0: True is not a non-negative integer"),
+        (dict(model="erdos_renyi", n=40, lam=2.0, seed=1.5),
+         "seed must be an integer, got 1.5"),
+    ]:
+        with pytest.raises(ValueError, match=re.escape(cause)):
+            GenSpec(**kwargs)
+    spec = GenSpec(model="configuration", n=4, degree_seq=[2, 2, 2, 2])
+    with pytest.raises(ValueError, match=re.escape(
+            "degree_seq entry 3: 2.0 is not")):
+        replace(spec, degree_seq=[2, 2, 2, 2.0])
+
+
+def test_impossible_stub_count_is_refused_before_allocation(monkeypatch):
+    # np.repeat was asked for 16 TiB of stubs; under overcommit that need not
+    # fail, so a stand-in fails the test if the stubs are allocated at all
+    def no_repeat(*args, **kwargs):
+        raise AssertionError("stubs allocated")
+
+    monkeypatch.setattr(np, "repeat", no_repeat)
+    for seq, total in (([2 ** 40, 2 ** 40], 2 ** 41),
+                       ([2 ** 62] * 4, 2 ** 64),   # wraps an int64 sum to 0
+                       ([MAX_HALF_EDGES, 1], 2 ** 31)):
+        with pytest.raises(SizeGuardError, match=f"degree sum {total} is more "
+                           f"half-edges than the {MAX_HALF_EDGES}"):
+            gen_configuration_model(seq, 0)
 
 
 def test_genspec_round_trip_and_determinism():

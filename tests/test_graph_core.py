@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -5,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from friendbias import (analyze_components, build_graph, induced_subgraph,
                         largest_component, load_edge_list, save_edge_list,
                         validate_for_exploration)
-from friendbias.graph_core import GraphConstructionError
+from friendbias.graph_core import GraphConstructionError, PreconditionError
 
 from component_bfs import bfs_components
 from eager_csr import assert_same_graph, build_eagerly, count_sorts
@@ -171,24 +173,38 @@ def test_analyze_components_idempotent(fig_a):
 
 
 def test_validate_nb(path3, complete4):
-    rep = validate_for_exploration(path3, "nb")
-    assert not rep.ok and sorted(rep.violations) == [0, 2]
-    rep = validate_for_exploration(complete4, "nb")
-    assert rep.ok and int(complete4.degrees.min()) >= 3
+    with pytest.raises(PreconditionError, match=re.escape(
+            "graph invalid for 'nb' exploration: 2 vertices of degree < 2 "
+            "(vertices [0, 2])")):
+        validate_for_exploration(path3, "nb")
+    assert validate_for_exploration(complete4, "nb") is complete4
+    assert int(complete4.degrees.min()) >= 3
 
 
 def test_validate_bt_self_loop():
     g = build_graph(2, [(0, 1), (0, 0)])
-    rep = validate_for_exploration(g, "bt")
-    assert not rep.ok and 0 in rep.violations
-    rep = validate_for_exploration(g, "lazy")
-    assert not rep.ok
+    for kind in ("bt", "lazy"):
+        with pytest.raises(PreconditionError, match=re.escape(
+                f"graph invalid for {kind!r} exploration: 1 vertices with "
+                f"self-loops (vertices [0])")):
+            validate_for_exploration(g, kind)
 
 
 def test_validate_bt_isolated():
     g = build_graph(3, [(0, 1)])
-    rep = validate_for_exploration(g, "bt")
-    assert not rep.ok and rep.violations == [2]
+    with pytest.raises(PreconditionError, match=re.escape(
+            "1 isolated vertices (vertices [2])")):
+        validate_for_exploration(g, "bt")
+
+
+def test_validate_names_the_place_and_the_first_ten_vertices():
+    g = build_graph(13, [(0, 0)])
+    with pytest.raises(PreconditionError) as err:
+        validate_for_exploration(g, "bt", "replica 3: ")
+    assert str(err.value) == (
+        "replica 3: graph invalid for 'bt' exploration: 1 vertices with "
+        "self-loops, 12 isolated vertices (vertices [0, 1, 2, 3, 4, 5, 6, 7, "
+        "8, 9])")
 
 
 def test_validate_unknown_kind(path3):

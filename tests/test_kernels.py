@@ -3,13 +3,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from friendbias import (DistVector, EmpiricalMeasure, WalkOperator, bias_all,
-                        build_graph, validate_for_exploration)
+                        build_graph)
 from friendbias.graph_core import PreconditionError
 from friendbias import kernels
 from friendbias.kernels import _k_step_dist, _VertexSums
 from friendbias.oracle import small_graph_corpus
 
-from conftest import dense_transition
+from conftest import carries, dense_transition
 from nb_level_reference import expect_one_array, observe_one_array
 
 
@@ -144,8 +144,7 @@ def test_bias_all_star_level1(star3):
 def test_bias_all_level1_kind_independent():
     # same float pipeline => bitwise equality, not just closeness
     for name, g in small_graph_corpus().items():
-        if not (validate_for_exploration(g, "nb").ok
-                and validate_for_exploration(g, "bt").ok):
+        if not (carries(g, "nb") and carries(g, "bt")):
             continue
         a = bias_all(g, 1, "bt")
         b = bias_all(g, 1, "nb")
@@ -179,7 +178,7 @@ def test_bias_k_matches_bias_all(fig_a, complete4):
 
 def test_edge_chain_doubly_stochastic():
     for name, g in small_graph_corpus().items():
-        if not validate_for_exploration(g, "nb").ok:
+        if not carries(g, "nb"):
             continue
         op = WalkOperator(g, "nb")
         m2 = g.num_half_edges
@@ -205,7 +204,7 @@ def _cm_graph(seed, n):
 @settings(max_examples=25, deadline=None)
 def test_row_stochasticity_random_graphs(seed, n, kind, k):
     g = _cm_graph(seed, n)
-    if not validate_for_exploration(g, "bt" if kind == "lazy" else kind).ok:
+    if not carries(g, kind):
         return
     d = _k_step_dist(g, seed % n, k, kind, 0.5)
     assert abs(float(d.weights.sum()) - 1.0) <= 1e-12
@@ -217,7 +216,7 @@ def test_row_stochasticity_random_graphs(seed, n, kind, k):
 def test_walk_operator_batch_and_duality(seed, n, kind):
     # unerased CM multigraphs: self-loops and parallel edges are kept
     g = _cm_graph(seed, n)
-    if not validate_for_exploration(g, "bt" if kind == "lazy" else kind).ok:
+    if not carries(g, kind):
         return
     op = WalkOperator(g, kind, 0.3)
     rng = np.random.default_rng(seed)

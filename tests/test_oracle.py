@@ -7,6 +7,7 @@ from friendbias.graph_core import PreconditionError
 from friendbias.oracle import (SizeGuardError, oracle_avg_bias,
                                oracle_avg_bias_exact, oracle_k_step,
                                oracle_k_step_exact, small_graph_corpus)
+from conftest import carries
 from walk_oracle import bt_avg_bias_is_zero, enumerate_walks
 
 
@@ -56,6 +57,17 @@ def test_kind_preconditions():
         bt_avg_bias_is_zero(build_graph(3, [(0, 1)]), 1)
 
 
+def test_kernel_and_oracle_refuse_in_one_wording(path3):
+    # they said "graph not valid for 'nb' exploration" and "... 'nb' walks",
+    # and neither named the vertices
+    for refuse in (lambda: bias_all(path3, 2, "nb"),
+                   lambda: oracle_k_step(path3, 0, 2, "nb")):
+        with pytest.raises(PreconditionError) as err:
+            refuse()
+        assert str(err.value) == ("graph invalid for 'nb' exploration: 2 "
+                                  "vertices of degree < 2 (vertices [0, 2])")
+
+
 def test_oracle_path3_bt_two_steps(path3):
     exact = oracle_k_step_exact(path3, 0, 2, "bt")
     assert exact == {0: Fraction(1, 2), 2: Fraction(1, 2)}
@@ -78,19 +90,17 @@ def test_fig_graphs_exact_zeros(fig_a, fig_b):
 def test_symmetrised_form_agrees():
     # oracle_avg_bias_exact raises internally if the definitional and the
     # symmetrised rationals differ; sweep the corpus to exercise that check
-    from friendbias import validate_for_exploration
     for name, g in small_graph_corpus().items():
         for kind in ("bt", "nb"):
-            if not validate_for_exploration(g, kind).ok:
+            if not carries(g, kind):
                 continue
             for k in range(0, 5):
                 oracle_avg_bias_exact(g, k, kind)
 
 
 def test_bt_zero_classifier_matches_fraction_oracle():
-    from friendbias import validate_for_exploration
     for name, g in small_graph_corpus().items():
-        if not validate_for_exploration(g, "bt").ok or g.n > 8:
+        if not carries(g, "bt") or g.n > 8:
             continue
         for k in (1, 2, 3):
             want = oracle_avg_bias_exact(g, k, "bt") == 0
@@ -98,10 +108,9 @@ def test_bt_zero_classifier_matches_fraction_oracle():
 
 
 def test_avg_bias_nonnegative_on_corpus():
-    from friendbias import validate_for_exploration
     for name, g in small_graph_corpus().items():
         for kind in ("bt", "nb"):
-            if not validate_for_exploration(g, kind).ok:
+            if not carries(g, kind):
                 continue
             for k in range(1, 5):
                 assert oracle_avg_bias_exact(g, k, kind) >= 0, (name, kind, k)

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from friendbias import (DistVector, bias_all, build_graph, mixing_profile,
                         mixing_time, pi_vertex, stationarity_residual,
-                        stationary_bias, tv_distance, validate_for_exploration)
+                        stationary_bias, tv_distance)
 from friendbias import stationary
 from friendbias.graph_core import PreconditionError
 from friendbias.kernels import SizeGuardError
@@ -14,7 +14,7 @@ from friendbias.measures import EmpiricalMeasure, levy_distance
 from friendbias.oracle import small_graph_corpus
 from friendbias.stationary import _column_blocks, _pick_starts
 
-from conftest import dense_transition
+from conftest import carries, dense_transition
 
 
 def test_pi_vertex_examples(path3, triangle, star3):
@@ -83,7 +83,7 @@ def test_tv_distance_examples():
 def test_stationarity_residuals():
     for name, g in small_graph_corpus().items():
         for kind in ("bt", "lazy", "nb"):
-            if not validate_for_exploration(g, "bt" if kind == "lazy" else kind).ok:
+            if not carries(g, kind):
                 continue
             assert stationarity_residual(g, kind) <= 1e-12, (name, kind)
 
@@ -223,7 +223,7 @@ def _assert_levels_match_reference(g, kind, cap, k_max=30):
 @pytest.mark.parametrize("g, kind, cap, label", _mixing_cases())
 def test_mixing_levels_match_row_major_reference_bit_for_bit(g, kind, cap,
                                                              label):
-    assert validate_for_exploration(g, "bt" if kind == "lazy" else kind).ok
+    assert carries(g, kind)
     if label == "over-128-states":
         assert g.n > 128                    # pairwise blocks in the TV sums
     elif label == "wide-degrees":
@@ -359,7 +359,7 @@ def test_mixing_time_is_first_crossing(seed, n, kind, eps, k_max, cap):
     g = gen_configuration_model(seq, seed + 1)
     if kind != "nb":     # bt and lazy refuse self-loops
         g, _ = erase_to_simple(g)
-    if not validate_for_exploration(g, "bt" if kind == "lazy" else kind).ok:
+    if not carries(g, kind):
         return
     prof = mixing_profile(g, kind, k_max, eps_list=(eps,), delta=0.3,
                           starts_cap=cap)
